@@ -9,8 +9,7 @@ Usage:
 Config files are flat ``key = value`` text with ``[section]`` headers;
 keys are namespaced as ``section.key``.  Reports are versioned JSON
 (schema shipped in cornermass/schema/); curves export as CSV with a
-header row, comma separator and decimal point.  The environment variable
-CORNER_MASS_THREADS caps sweep parallelism.
+header row, comma separator and decimal point.
 
 Exit codes: 0 success / verdict pass, 1 verdict fail, 2 config error,
 3 numerical failure.
@@ -22,7 +21,7 @@ import argparse
 import csv as _csv
 import dataclasses
 import json
-import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -108,7 +107,15 @@ def _scenario_from_config(cfg):
     for key, val in cfg.items():
         if key.startswith("scenario."):
             params[key.split(".", 1)[1]] = val
-    data = corner.scenario_build(name, **params)
+    try:
+        data = corner.scenario_build(name, **params)
+    except KeyError as exc:            # unknown scenario name
+        raise ConfigError(exc.args[0], field="run.scenario")
+    except (TypeError, ValueError) as exc:   # unknown or invalid parameter
+        named = [k for k in params if re.search(rf"\b{re.escape(k)}\b",
+                                                str(exc))]
+        raise ConfigError(str(exc), field="scenario." + named[0]
+                          if named else "scenario")
     topo = _get(cfg, "run.topology_trivial")
     if topo is not None and bool(topo) != data.topology_trivial:
         data = dataclasses.replace(data, topology_trivial=bool(topo))
@@ -219,13 +226,11 @@ def cmd_massbound(cfg, args):
         direction=int(_get(cfg, "run.direction", 1)),
         picard_tol=float(_get(cfg, "run.picard_tol", 1e-9)),
         sor_tol=float(_get(cfg, "run.sor_tol", 5e-10)))
-    threads = int(os.environ.get("CORNER_MASS_THREADS", "1"))
-    rep = mass_bound_sweep(
+    rep, finest = mass_bound_sweep(
         data, adm, resolutions=[int(n) for n in resolutions],
         n_theta=_get(cfg, "run.n_theta"),
         L=float(_get(cfg, "run.truncation", 30.0)),
-        r_inner=_get(cfg, "run.r_inner"),
-        options=opts, threads=threads)
+        r_inner=_get(cfg, "run.r_inner"), options=opts)
     verdicts = {
         "slack_nonnegative": rep.verdict,
         "corner_hypothesis_violated": rep.corner_hypothesis_violated,
@@ -233,12 +238,7 @@ def cmd_massbound(cfg, args):
     reports = {"adm": adm, "massbound": rep, "slack": rep.slack,
                "tolerance": rep.tolerance, "scenario": data.name}
     if args.csv:
-        fld = solve_spacetime_harmonic(
-            data, n_r=int(resolutions[-1]),
-            n_theta=int(_get(cfg, "run.n_theta") or resolutions[-1]),
-            L=float(_get(cfg, "run.truncation", 30.0)),
-            r_inner=_get(cfg, "run.r_inner"), options=opts)
-        fld.to_csv(args.csv)
+        finest.to_csv(args.csv)
     return reports, verdicts, (0 if rep.verdict else 1)
 
 

@@ -8,16 +8,18 @@ R = (2/r^2)(1 - f - r f') = 0 reduces to the single ODE
 
     f' = (1 - f) / r,        f(r0) = (H_eff r0 / 2)^2,
 
-whose solution family is the Schwarzschild profile.  We integrate it
-numerically (the closed form 1 - (1 - f0) r0 / r is kept as a test oracle
-only) and read off
+whose solution family is the Schwarzschild profile
+f = 1 - (1 - f0) r0 / r, with
 
     E_ext = (r0/2)(1 - f0),        Q(r) = r (1 - sqrt(f)),
 
-with Q nonincreasing and Q(r0) equal to the quasilocal energy W of the
-matched boundary data.  A certificate of non-existence of dominant-energy
-fill-ins is issued exactly when E_ext < 0, i.e. when H - f exceeds the
-Euclidean reference curvature 2/r0.
+Q nonincreasing and Q(r0) equal to the quasilocal energy W of the matched
+boundary data.  A certificate of non-existence of dominant-energy fill-ins
+is issued exactly when E_ext < 0, i.e. when H - f exceeds the Euclidean
+reference curvature 2/r0; certificates evaluate E_ext in closed form.
+The quasilocal pipeline integrates the ODE by RK4 (``shi_tam_extend``) to
+sample f and Q along the extension, and the closed-form profile is the
+test oracle of that integration.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def shi_tam_extend(r0, H_eff, *, span=1000.0, n_steps=4000) -> ExtensionResult:
         raise HypothesisError("need H_eff > 0 for the quasispherical lapse")
     f0 = (H_eff * r0 / 2.0) ** 2
 
-    ts, ys, _ = integrate_ode(lambda s, y: 1.0 - y, [f0],
+    ts, ys = integrate_ode(lambda s, y: 1.0 - y, [f0],
                               (0.0, np.log(span)), np.log(span) / n_steps)
     radii = r0 * np.exp(ts)
     f = ys[:, 0]
@@ -156,23 +158,26 @@ class CertificateVerdict:
 
 
 def fillin_certificate(r0, H, tr_alpha=0.0, beta_abs=0.0,
-                       tolerance=1e-12, **ext_kwargs) -> CertificateVerdict:
+                       tolerance=1e-12) -> CertificateVerdict:
     """Certify non-existence of dominant-energy fill-ins for round data.
 
     The glued set (hypothetical fill-in + scalar-flat extension with
     matched corner) would violate the corner mass inequality whenever the
-    extension energy is negative, so E_ext < 0 certifies non-existence;
-    positive extension energy certifies nothing.
+    extension energy E_ext = (r0/2)(1 - (h_eff r0/2)^2) is negative, so
+    E_ext < 0 certifies non-existence; positive extension energy
+    certifies nothing.
     """
     f_b = float(np.hypot(tr_alpha, beta_abs))
     h_eff = H - f_b
     if h_eff <= 0:
         raise HypothesisError("need H - sqrt((tr a)^2 + |b|^2) > 0")
-    ext = shi_tam_extend(r0, h_eff, **ext_kwargs)
-    verdict = "no-DEC-fill-in" if ext.E_ext < -tolerance else "inconclusive"
+    if r0 <= 0:
+        raise HypothesisError("boundary radius must be positive")
+    e_ext = float(0.5 * r0 * (1.0 - (h_eff * r0 / 2.0) ** 2))
+    verdict = "no-DEC-fill-in" if e_ext < -tolerance else "inconclusive"
     return CertificateVerdict(r0=float(r0), H=float(H), bartnik_f=f_b,
-                              E_ext=ext.E_ext, verdict=verdict,
-                              margin=float(-ext.E_ext),
+                              E_ext=e_ext, verdict=verdict,
+                              margin=float(-e_ext),
                               threshold=2.0 / r0)
 
 
@@ -404,7 +409,7 @@ def conformal_deform(data: GluedDataSet, collar: Tuple[float, float],
         if hi - lo < 1e-14:
             continue
         n = max(16, int(n_steps * (hi - lo) / (r_far - r_F)))
-        ts, ys, _ = integrate_ode(rhs, y, (lo, hi), (hi - lo) / n)
+        ts, ys = integrate_ode(rhs, y, (lo, hi), (hi - lo) / n)
         rr_all.extend(ts[1:].tolist())
         vv_all.extend(ys[1:, 0].tolist())
         ww_all.extend(ys[1:, 1].tolist())

@@ -19,14 +19,14 @@ traces the energy deficit to the corner.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..corner import GluedDataSet
 from ..masses import AdmResult
 from ..numgrid import ConvergenceReport, richardson
-from .fields import AxisymField, spacetime_hessian
+from .fields import AxisymField, SpacetimeHessianField, spacetime_hessian
 from .solver import SolveOptions, solve_spacetime_harmonic
 
 
@@ -83,7 +83,7 @@ def _volume_weights(field: AxisymField):
     return w_x, w_r_minus, w_r_plus
 
 
-def critical_mask(field: AxisymField, c0=2.0):
+def critical_mask(field: AxisymField, hes: SpacetimeHessianField, c0=2.0):
     """Nodes within ~c0 cells of the critical set of u.
 
     A node is flagged when |grad u| < c0 * h * |sHu|, with h the local
@@ -95,7 +95,6 @@ def critical_mask(field: AxisymField, c0=2.0):
     """
     c = field.coeffs
     grid = field.grid
-    hes = spacetime_hessian(field)
     gn = field.grad_norm_plain()
     ds = np.zeros(grid.n_r)
     ds[1:-1] = np.maximum(np.diff(grid.r)[:-1], np.diff(grid.r)[1:])
@@ -107,14 +106,15 @@ def critical_mask(field: AxisymField, c0=2.0):
     return gn < c0 * h_loc * np.sqrt(hes.norm_sq)
 
 
-def _bulk_integral(field: AxisymField, delta, mask=None):
+def _bulk_integral(field: AxisymField, hes: SpacetimeHessianField, delta,
+                   mask):
     """Bulk integrand integrated over the grid, corner spheres excluded
     (they carry no radial measure; side limits weight their half-cells).
-    ``mask`` marks near-critical nodes dropped from the quadrature."""
+    ``hes`` is the field's spacetime Hessian, which does not depend on
+    delta; ``mask`` marks near-critical nodes dropped from the quadrature."""
     c = field.coeffs
-    hes = spacetime_hessian(field)
     w_x, w_r_minus, w_r_plus = _volume_weights(field)
-    keep = None if mask is None else ~mask
+    keep = ~mask
 
     def side_sum(side, w_r):
         if not np.any(w_r):
@@ -139,9 +139,7 @@ def _bulk_integral(field: AxisymField, delta, mask=None):
         integrand = (nsq / gn_delta
                      + 2.0 * (mu[:, None] * gn_plain + Jn[:, None] * u_t))
         vol = 2.0 * np.pi * dens[:, None] * w_r[:, None] * w_x[None, :]
-        if keep is not None:
-            return float(np.sum((integrand * vol)[keep]))
-        return float(np.sum(integrand * vol))
+        return float(np.sum((integrand * vol)[keep]))
 
     return side_sum("minus", w_r_minus) + side_sum("plus", w_r_plus)
 
@@ -194,7 +192,8 @@ def mass_bound_report(data: GluedDataSet, field: AxisymField, adm: AdmResult,
     pz = adm.P[2]
     lhs = 16.0 * np.pi * (adm.E + direction * pz)
     corner, jumps, violated = _corner_integral(field)
-    mask = critical_mask(field)
+    hes = spacetime_hessian(field)
+    mask = critical_mask(field, hes)
     w_x, w_rm, w_rp = _volume_weights(field)
     c = field.coeffs
     vol = 2.0 * np.pi * c.volume_density[:, None] \
@@ -206,7 +205,7 @@ def mass_bound_report(data: GluedDataSet, field: AxisymField, adm: AdmResult,
     slacks = []
     bulk0 = None
     for d in deltas:
-        bulk = _bulk_integral(field, d, mask)
+        bulk = _bulk_integral(field, hes, d, mask)
         if bulk0 is None:
             bulk0 = bulk
         slacks.append(lhs - bulk - corner)
@@ -242,33 +241,22 @@ def mass_bound_report(data: GluedDataSet, field: AxisymField, adm: AdmResult,
 def mass_bound_sweep(data: GluedDataSet, adm: AdmResult, *,
                      resolutions: Sequence[int] = (32, 64),
                      n_theta=None, L=30.0, r_inner=None,
-                     options: SolveOptions = None,
-                     threads=1) -> MassBoundReport:
+                     options: SolveOptions = None
+                     ) -> Tuple[MassBoundReport, AxisymField]:
     """Solve at a list of resolutions and attach the grid convergence.
 
-    The returned report is the finest grid's, with epsilon_grid the slack
-    difference of the last resolution pair and the observed order from the
-    last three.
+    Returns the finest grid's report and its solved field.  The report's
+    epsilon_grid is the slack difference of the last resolution pair and
+    its observed order comes from the last three.
     """
     opts = options or SolveOptions()
     resolutions = list(resolutions)
-
-    def run(n):
+    reports = []
+    for n in resolutions:
         fld = solve_spacetime_harmonic(
             data, n_r=n, n_theta=(n_theta or n), L=L, r_inner=r_inner,
             options=opts)
-        return fld
-
-    fields: List[AxisymField] = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            fields = list(ex.map(run, resolutions))
-    else:
-        fields = [run(n) for n in resolutions]
-
-    reports = [mass_bound_report(data, f, adm, opts.direction)
-               for f in fields]
+        reports.append(mass_bound_report(data, fld, adm, opts.direction))
     slacks = [rep.slack for rep in reports]
     conv = None
     eps = None
@@ -280,4 +268,4 @@ def mass_bound_sweep(data: GluedDataSet, adm: AdmResult, *,
     final.grid_convergence = conv
     final.epsilon_grid = eps
     final.diagnostics["slacks_by_resolution"] = list(zip(resolutions, slacks))
-    return final
+    return final, fld

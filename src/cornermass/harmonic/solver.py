@@ -197,6 +197,7 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
 
     picard_changes = []
     info = {}
+    sweeps = 0
     field = AxisymField(coeffs, u, delta=opts.delta)
     for it in range(1, opts.max_picard + 1):
         if np.max(np.abs(coeffs.K)) == 0.0:
@@ -209,6 +210,7 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
             grid, stencil, source, boundary, omega=opts.omega,
             tol=opts.sor_tol * max(1.0, float(np.max(np.abs(boundary)))),
             max_sweeps=opts.max_sweeps, u0=u)
+        sweeps += info["sweeps"]
         theta = opts.picard_damping if it > 1 else 1.0
         u_new = (1.0 - theta) * u + theta * u_new
         change = float(np.max(np.abs(u_new - u)))
@@ -234,8 +236,9 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
                        float(interior.max()) - bmax)
     diag = {
         "picard_changes": picard_changes,
-        "relaxation": {k: info.get(k) for k in ("sweeps", "residual",
-                                                "omega")},
+        # sweeps over all Picard steps; residual and omega of the last
+        "relaxation": {"sweeps": sweeps, "residual": info.get("residual"),
+                       "omega": info.get("omega")},
         "max_principle_violation": mp_violation,
         "inner_mode": inner_mode,
         "chart": coeffs.chart,

@@ -330,17 +330,17 @@ def limit_from_sequence(values, p=1.0):
 
 
 # ---------------------------------------------------------------------------
-# ODE integration (classical RK4, fixed step, dense output via samples)
+# ODE integration (classical RK4, fixed step)
 # ---------------------------------------------------------------------------
 
 def integrate_ode(rhs, y0, interval, step, max_retries=1):
     """Integrate y' = rhs(t, y) with classical RK4 at fixed step.
 
-    Returns (t_samples, y_samples, profiles): one ScalarProfile per state
-    component, built as a Hermite spline over the samples with the rhs as
-    the derivative data.  On a non-finite state the whole integration is
-    retried once with the step halved; if that also fails, an
-    IntegrationDivergedError carrying the last good abscissa is raised.
+    Returns (t_samples, y_samples): the n + 1 abscissae of the uniform
+    steps and the state at each, shaped (n + 1, len(y0)).  On a
+    non-finite state the whole integration is retried once with the step
+    halved; if that also fails, an IntegrationDivergedError carrying the
+    last good abscissa is raised.
     """
     t0, t1 = float(interval[0]), float(interval[1])
     if step <= 0:
@@ -372,16 +372,7 @@ def integrate_ode(rhs, y0, interval, step, max_retries=1):
             ts[i + 1] = t
             ys[i + 1] = y
         if ok:
-            dydt = np.array([np.asarray(rhs(tt, yy), dtype=float)
-                             for tt, yy in zip(ts, ys)])
-            lo, hi = (ts[0], ts[-1]) if ts[0] < ts[-1] else (ts[-1], ts[0])
-            order = np.argsort(ts)
-            profiles = [
-                ScalarProfile.from_samples(ts[order], ys[order, c],
-                                           dv=dydt[order, c])
-                for c in range(y0.size)
-            ]
-            return ts, ys, profiles
+            return ts, ys
         h_try *= 0.5
     raise IntegrationDivergedError(
         f"state became non-finite near t = {last_good:.6g}",

@@ -109,8 +109,8 @@ def test_criterion_4_mass_bound_property_suite():
     slacks = {}
     final = None
     for n in (32, 64, 128):
-        final = mass_bound_sweep(sw, adm, resolutions=(n,), L=40.0,
-                                 options=SolveOptions(delta=1e-2))
+        final, _ = mass_bound_sweep(sw, adm, resolutions=(n,), L=40.0,
+                                    options=SolveOptions(delta=1e-2))
         slacks[n] = final.slack
     eps_64 = abs(slacks[64] - slacks[32])
     eps_128 = abs(slacks[128] - slacks[64])

@@ -1,11 +1,12 @@
 import json
-import os
 
 import numpy as np
 import pytest
 
 from cornermass import cli
+from cornermass.corner import scenario_build
 from cornermass.errors import ConfigError
+from cornermass.harmonic import solve_spacetime_harmonic
 
 
 def write(tmp_path, name, text):
@@ -48,6 +49,20 @@ r0 = 2.0
         path = write(tmp_path, "c.cfg", "[run]\nsamples = 8\n")
         rc = cli.main(["constraints", "--config", path])
         assert rc == 2
+
+    @pytest.mark.parametrize("text, field", [
+        ("[run]\nscenario = nope\n", "run.scenario"),
+        ("[run]\nscenario = hyperbolic_negschw\n[scenario]\nk_sign = 3\n",
+         "scenario.k_sign"),
+        ("[run]\nscenario = flat\n[scenario]\nbogus = 1.0\n",
+         "scenario.bogus"),
+    ], ids=["unknown_scenario", "invalid_parameter", "unknown_parameter"])
+    def test_scenario_errors_are_config_errors(self, tmp_path, text, field):
+        path = write(tmp_path, "s.cfg", text)
+        with pytest.raises(ConfigError) as exc:
+            cli._scenario_from_config(cli.parse_config(path))
+        assert exc.value.field == field
+        assert cli.main(["constraints", "--config", path]) == 2
 
 
 class TestCommands:
@@ -94,6 +109,22 @@ truncation = 15.0
         assert out["verdicts"]["corner_hypothesis_violated"]
         assert out["reports"]["massbound"]["lhs"] < 0
         assert out["reports"]["massbound"]["corner"] < 0
+
+    def test_massbound_csv_is_the_finest_field(self, tmp_path, capsys):
+        path = write(tmp_path, "m.cfg", """
+[run]
+scenario = hyperbolic_negschw
+resolutions = 12 16
+truncation = 10.0
+""")
+        csv_path = tmp_path / "field.csv"
+        cli.main(["massbound", "--config", path, "--deterministic",
+                  "--csv", str(csv_path)])
+        fld = solve_spacetime_harmonic(scenario_build("hyperbolic_negschw"),
+                                       n_r=16, n_theta=16, L=10.0)
+        ref = tmp_path / "ref.csv"
+        fld.to_csv(ref)
+        assert csv_path.read_bytes() == ref.read_bytes()
 
     def test_quasilocal_with_pipeline_and_csv(self, tmp_path, capsys):
         path = write(tmp_path, "q.cfg", """
@@ -199,24 +230,3 @@ class TestRegress:
         assert rc == 0
         table = json.loads(out[out.index("{"):])["reports"]["table"]
         assert table and all("shi_tam" in row["name"] for row in table)
-
-
-class TestThreadCap:
-    def test_threaded_sweep_matches_serial(self, tmp_path, capsys):
-        cfgp = write(tmp_path, "t.cfg", """
-[run]
-scenario = flat
-resolutions = 16 24
-truncation = 10.0
-""")
-        results = []
-        for threads in ("1", "2"):
-            os.environ["CORNER_MASS_THREADS"] = threads
-            try:
-                out = str(tmp_path / f"t{threads}.json")
-                cli.main(["massbound", "--config", cfgp, "--deterministic",
-                          "--out", out])
-                results.append(open(out, "rb").read())
-            finally:
-                os.environ.pop("CORNER_MASS_THREADS", None)
-        assert results[0] == results[1]

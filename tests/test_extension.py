@@ -126,6 +126,17 @@ class TestCertificates:
         with pytest.raises(HypothesisError):
             fillin_certificate(1.0, 0.5, tr_alpha=1.0)
 
+    def test_closed_form_matches_extension(self):
+        for r0 in (0.5, 1.0, 2.0):
+            for h_eff in (0.3, 1.0, 2.0 / r0, 2.5):
+                assert fillin_certificate(r0, h_eff).E_ext == \
+                    shi_tam_extend(r0, h_eff).E_ext
+
+    def test_nonpositive_radius(self):
+        for r0 in (0.0, -1.0):
+            with pytest.raises(HypothesisError):
+                fillin_certificate(r0, 3.0)
+
 
 def _self_glue():
     inner = RadialPatch(schwarzschild_metric_profile(1.0, 2.5, 5.0),

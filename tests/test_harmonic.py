@@ -61,6 +61,12 @@ class TestSolver:
             g_norms.append(float(np.max(np.abs(interior))))
         assert g_norms[1] <= 0.5 * g_norms[0]
 
+    def test_sweeps_counted_over_all_picard_steps(self):
+        data = scenario_build("hyperbolic_negschw")
+        fld = solve_spacetime_harmonic(data, n_r=16, n_theta=16, L=10.0)
+        assert len(fld.diagnostics["picard_changes"]) > 2
+        assert fld.diagnostics["relaxation"]["sweeps"] > 0
+
     def test_picard_contraction(self):
         for n in (24, 32):
             data = scenario_build("hyperbolic_negschw")
@@ -210,7 +216,7 @@ class TestMassBound:
     def test_schwarzschild_positive_slack(self):
         data = scenario_build("schwarzschild", m=1.0)
         adm = masses.adm_energy_momentum(data, ADM_RADII)
-        rep = mass_bound_sweep(data, adm, resolutions=(32, 64), L=40.0)
+        rep, _ = mass_bound_sweep(data, adm, resolutions=(32, 64), L=40.0)
         assert rep.slack > 0
         assert rep.verdict
         assert not rep.corner_hypothesis_violated
@@ -226,12 +232,27 @@ class TestMassBound:
         assert rep.corner_hypothesis_violated
         assert rep.corner_jumps[0] == pytest.approx(-2.0, abs=1e-10)
 
+    def test_report_builds_hessian_once(self, monkeypatch):
+        from cornermass.harmonic import massbound
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return spacetime_hessian(*args, **kwargs)
+
+        monkeypatch.setattr(massbound, "spacetime_hessian", counting)
+        data = scenario_build("hyperbolic_negschw")
+        adm = masses.adm_energy_momentum(data, ADM_RADII)
+        fld = solve_spacetime_harmonic(data, n_r=16, n_theta=16, L=10.0)
+        mass_bound_report(data, fld, adm, +1)
+        assert len(calls) == 1
+
     def test_counterexample_books_balance(self):
         # lhs - bulk - corner settles to zero within the tracked
         # outer-truncation scale: the deficit is carried by the corner
         data = scenario_build("hyperbolic_negschw")
         adm = masses.adm_energy_momentum(data, ADM_RADII)
-        rep = mass_bound_sweep(data, adm, resolutions=(48, 96), L=30.0)
+        rep, _ = mass_bound_sweep(data, adm, resolutions=(48, 96), L=30.0)
         assert abs(rep.slack) <= rep.outer_truncation_scale \
             + (rep.epsilon_grid or 0.0) + 1e-3
         assert rep.verdict
