@@ -21,6 +21,7 @@ import argparse
 import csv as _csv
 import dataclasses
 import json
+import math
 import re
 import sys
 import time
@@ -31,7 +32,7 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigError, CornerMassError, HypothesisError,
                      IntegrationDivergedError, PicardStagnationError,
-                     UnconvergedError)
+                     SingularFactorError)
 from . import corner, extension, geometry, masses
 from .harmonic import SolveOptions, mass_bound_sweep, solve_spacetime_harmonic
 
@@ -127,8 +128,15 @@ def _scenario_from_config(cfg):
 # ---------------------------------------------------------------------------
 
 def _jsonable(obj):
+    # floats first: they are most of every report
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        return v if math.isfinite(v) else repr(v)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
+        # field by field: dataclasses.asdict would deep-copy every value
+        # first, which costs more than the whole certificate sweep
+        return {f.name: _jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -138,9 +146,6 @@ def _jsonable(obj):
             return {"n": int(obj.size), "min": float(np.min(obj)),
                     "max": float(np.max(obj))}
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if np.isfinite(v) else repr(v)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -224,8 +229,7 @@ def cmd_massbound(cfg, args):
     opts = SolveOptions(
         delta=delta,
         direction=int(_get(cfg, "run.direction", 1)),
-        picard_tol=float(_get(cfg, "run.picard_tol", 1e-9)),
-        sor_tol=float(_get(cfg, "run.sor_tol", 5e-10)))
+        picard_tol=float(_get(cfg, "run.picard_tol", 1e-9)))
     rep, finest = mass_bound_sweep(
         data, adm, resolutions=[int(n) for n in resolutions],
         n_theta=_get(cfg, "run.n_theta"),
@@ -452,7 +456,7 @@ def main(argv=None):
         loc = f" (line {exc.line})" if exc.line else ""
         print(f"config error{loc}: {exc}", file=sys.stderr)
         return 2
-    except (UnconvergedError, PicardStagnationError,
+    except (SingularFactorError, PicardStagnationError,
             IntegrationDivergedError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -21,13 +21,8 @@ class IntegrationDivergedError(CornerMassError):
         self.last_good_radius = last_good_radius
 
 
-class UnconvergedError(CornerMassError):
-    """Iterative solver hit its sweep cap; carries the final residual."""
-
-    def __init__(self, message, residual=None, history=None):
-        super().__init__(message)
-        self.residual = residual
-        self.history = list(history) if history is not None else []
+class SingularFactorError(CornerMassError):
+    """The sparse LU factorization of a linear operator found it singular."""
 
 
 class PicardStagnationError(CornerMassError):

@@ -1,10 +1,10 @@
 """Spacetime-harmonic solver and the mass-inequality bookkeeping.
 
 Submodules: ``fields`` (grid coefficients, sampled fields, spacetime
-Hessian), ``solver`` (Picard + line-relaxation solve of
-Delta u + K |grad u| = 0), ``massbound`` (both sides of the mass
-inequality with corner terms), ``identities`` (the bulk integral identity
-and the boundary identity, checked term by term).
+Hessian), ``solver`` (Picard iteration of Delta u + K |grad u| = 0, each
+step one solve with the grid's sparse LU factor), ``massbound`` (both
+sides of the mass inequality with corner terms), ``identities`` (the bulk
+integral identity and the boundary identity, checked term by term).
 """
 
 from .fields import (AxisymField, GridCoefficients, SpacetimeHessianField,

@@ -5,13 +5,13 @@ Each Picard step freezes the gradient norm and solves the linear problem
 
     Delta u = -K |grad u_prev|_delta
 
-by deterministic line relaxation (rows swept in increasing radial
-coordinate, each theta line solved exactly).  Outer Dirichlet data is the
-truncated asymptote a * rho cos(theta); an inner sphere may carry a
-constant Dirichlet value (the trapped-boundary option, with the sign of
-the normal derivative reported afterwards, never enforced); data with a
-smooth centre instead couples the innermost ring to a slaved virtual
-value at r = 0.
+directly: the grid's operator is assembled once as one sparse matrix,
+factored once (sparse LU) and every step is a single triangular solve.
+Outer Dirichlet data is the truncated asymptote a * rho cos(theta); an
+inner sphere may carry a constant Dirichlet value (the trapped-boundary
+option, with the sign of the normal derivative reported afterwards, never
+enforced); data with a smooth centre instead couples the innermost ring to
+an extra unknown, the virtual value at r = 0.
 
 Data sets carrying an isotropic chart are solved on that chart: the grid
 runs through the minimal sphere into the second asymptotic sheet, whose
@@ -22,13 +22,12 @@ boundary for the mass inequality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from ..corner import GluedDataSet
 from ..errors import PicardStagnationError
-from ..numgrid import (AxisymGrid, EllipticStencil, lagrange_weights,
+from ..numgrid import (AxisymGrid, EllipticOperator, lagrange_weights,
                        solve_linear_elliptic, stencil_d1, stencil_d2)
 from .fields import AxisymField, GridCoefficients, build_coefficients, \
     build_solver_grid
@@ -42,14 +41,13 @@ class SolveOptions:
     inner_value: float = 0.0
     picard_tol: float = 1e-9
     max_picard: int = 60
-    picard_damping: float = 0.65     # damped update keeps the decay monotone
-    sor_tol: float = 5e-10
-    max_sweeps: int = 40000
-    omega: Optional[float] = None
+    picard_damping: float = 0.65
 
 
-def _assemble_stencil(coeffs: GridCoefficients, inner_mode: str):
-    """Five-point stencil for Delta u in conservation form.
+def _assemble_operator(coeffs: GridCoefficients,
+                       inner_mode: str) -> EllipticOperator:
+    """Sparse operator for Delta u in conservation form, with its
+    boundary, axis, corner and centre rows.
 
     Radial part (1/(sqrt(lam) rho^2)) d_s((rho^2/sqrt(lam)) u_s) and
     angular part (1/rho^2) d_x((1-x^2) u_x) are discretized as flux
@@ -57,8 +55,18 @@ def _assemble_stencil(coeffs: GridCoefficients, inner_mode: str):
     rho_i rho_{i+1} / (lam_i lam_{i+1})^(1/4) and 1 - x_j x_{j+1}: both
     keep the flat asymptote rho cos(theta) an exact discrete solution on
     arbitrary node spacing while making every off-diagonal nonnegative
-    (relaxation-safe M-matrix rows).
+    (M-matrix rows).  The other rows are:
+
+    * the two axis columns, quadratic extrapolations of the next three
+      interior columns;
+    * each corner ring, continuity of the radial flux u_s / sqrt(lam);
+    * with a smooth centre, one extra unknown for the virtual r = 0 value
+      (the inner neighbour of the innermost ring), defined by the
+      x-averages of the first two rings as even in r;
+    * identity rows at the Dirichlet nodes.
     """
+    from scipy.sparse import csc_matrix
+
     grid = coeffs.grid
     s, x = grid.r, grid.x
     N, M1 = s.size, x.size
@@ -72,8 +80,13 @@ def _assemble_stencil(coeffs: GridCoefficients, inner_mode: str):
     if inner_mode == "trapped_const":
         fixed[0, :] = True
 
-    interface_rows = {}
     corner_set = set(coeffs.corner_indices)
+    # angular flux form at the interior columns, per unit 1/rho^2
+    Ce = 1.0 - x[1:-1] * x[2:]
+    Cw = 1.0 - x[:-2] * x[1:-1]
+    wgt_x = 0.5 * (x[2:] - x[:-2])
+    an = Ce / ((x[2:] - x[1:-1]) * wgt_x)
+    as_ = Cw / ((x[1:-1] - x[:-2]) * wgt_x)
 
     for (lo, hi) in coeffs.segments:
         lam_seg = coeffs.lam[lo:hi + 1].copy()
@@ -88,7 +101,7 @@ def _assemble_stencil(coeffs: GridCoefficients, inner_mode: str):
                 continue
             k = i - lo
             if i == 0:
-                # smooth centre: collocation against the slaved r = 0 value
+                # smooth centre: collocation against the r = 0 unknown
                 z = np.array([0.0, s[0], s[1]])
                 w1 = stencil_d1(*z)[1]
                 w2 = stencil_d2(*z)
@@ -110,40 +123,67 @@ def _assemble_stencil(coeffs: GridCoefficients, inner_mode: str):
                 cE[i, :] += ae
                 cW[i, :] += aw
                 cC[i, :] -= ae + aw
-            # angular flux form at interior columns
             xr = 1.0 / (rho_seg[k] ** 2)
-            for j in range(1, M1 - 1):
-                Ce = 1.0 - x[j] * x[j + 1]
-                Cw = 1.0 - x[j - 1] * x[j]
-                wgt = 0.5 * (x[j + 1] - x[j - 1])
-                an = Ce / ((x[j + 1] - x[j]) * wgt)
-                as_ = Cw / ((x[j] - x[j - 1]) * wgt)
-                cN[i, j] += xr * an
-                cS[i, j] += xr * as_
-                cC[i, j] -= xr * (an + as_)
+            cN[i, 1:-1] += xr * an
+            cS[i, 1:-1] += xr * as_
+            cC[i, 1:-1] -= xr * (an + as_)
 
-    # corner rows: continuity of the radial flux u_s / sqrt(lam)
+    idx = np.arange(N * M1).reshape(N, M1)
+    n_unknowns = N * M1 + (1 if inner_mode == "center" else 0)
+    rows, cols, vals = [], [], []
+
+    def put(row, col, val):
+        row, col, val = np.broadcast_arrays(row, col, val)
+        rows.append(row.ravel())
+        cols.append(col.ravel())
+        vals.append(val.ravel())
+
+    free = [i for i in range(N) if not fixed[i].all()]
+    rings = np.array([i for i in free if i not in corner_set])
+    J = np.arange(1, M1 - 1)
+    ii, jj = rings[:, None], J[None, :]
+    source_rows = np.zeros((N, M1), dtype=bool)
+    source_rows[ii, jj] = True
+    put(idx[ii, jj], idx[ii, jj], cC[ii, jj])
+    put(idx[ii, jj], idx[ii + 1, jj], cE[ii, jj])
+    put(idx[ii, jj], idx[ii, jj + 1], cN[ii, jj])
+    put(idx[ii, jj], idx[ii, jj - 1], cS[ii, jj])
+    inner = rings[rings > 0][:, None]
+    put(idx[inner, jj], idx[inner - 1, jj], cW[inner, jj])
+    if inner_mode == "center":
+        put(idx[0, J], N * M1, cW[0, J])
+        wm = grid.x_weights()
+        wm = wm / np.sum(wm)
+        r1, r2 = s[0], s[1]
+        den = r2 * r2 - r1 * r1
+        put(N * M1, N * M1, 1.0)
+        put(N * M1, idx[0], -(r2 * r2 / den) * wm)
+        put(N * M1, idx[1], (r1 * r1 / den) * wm)
+
+    # corner rings: continuity of the radial flux u_s / sqrt(lam)
     for i in coeffs.corner_indices:
-        zL = s[i - 2:i + 1]
-        zR = s[i:i + 3]
-        wL = stencil_d1(*zL)[2]
-        wR = stencil_d1(*zR)[0]
+        wL = stencil_d1(*s[i - 2:i + 1])[2]
+        wR = stencil_d1(*s[i:i + 3])[0]
         sfL = 1.0 / coeffs.sqlam[i]
         sfR = 1.0 / np.sqrt(coeffs.corner_plus[i]["lam"])
-        offs = (-2, -1, 0, 1, 2)
-        coefsv = (sfL * wL[0], sfL * wL[1], sfL * wL[2] - sfR * wR[0],
-                  -sfR * wR[1], -sfR * wR[2])
-        interface_rows[i] = (offs, coefsv)
+        coefs = (sfL * wL[0], sfL * wL[1], sfL * wL[2] - sfR * wR[0],
+                 -sfR * wR[1], -sfR * wR[2])
+        for o, c in zip(range(-2, 3), coefs):
+            put(idx[i, J], idx[i + o, J], c)
 
-    axis_w = (lagrange_weights(x[1:4], x[0]),
-              lagrange_weights(x[-4:-1], x[-1]))
-    center = None
-    if inner_mode == "center":
-        wm = grid.x_weights()
-        center = {"w_mean": wm / np.sum(wm), "r1": s[0], "r2": s[1]}
-    return EllipticStencil(cC=cC, cE=cE, cW=cW, cN=cN, cS=cS, fixed=fixed,
-                           interface_rows=interface_rows,
-                           axis_weights=axis_w, center=center)
+    w_n = lagrange_weights(x[1:4], x[0])
+    w_s = lagrange_weights(x[-4:-1], x[-1])
+    for i in free:
+        put(idx[i, 0], idx[i, 0], 1.0)
+        put(idx[i, 0], idx[i, 1:4], -w_n)
+        put(idx[i, -1], idx[i, -1], 1.0)
+        put(idx[i, -1], idx[i, -4:-1], -w_s)
+    put(idx[fixed], idx[fixed], 1.0)
+
+    matrix = csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_unknowns, n_unknowns))
+    return EllipticOperator(matrix, fixed, source_rows)
 
 
 def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
@@ -151,9 +191,9 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
                              options: SolveOptions = None) -> AxisymField:
     """Solve Delta u + K |grad u|_delta = 0 on the truncated data set.
 
-    Returns the converged AxisymField with Picard/relaxation diagnostics
-    (change history, final residual, boundary-sign report, maximum
-    principle margin) attached.
+    Returns the converged AxisymField with Picard and linear-solve
+    diagnostics (change history, factorization size, linear residual,
+    boundary-sign report, maximum principle margin) attached.
     """
     opts = options or SolveOptions()
     if opts.direction not in (1, -1):
@@ -176,7 +216,7 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
         raise ValueError("inner boundary mode 'center' is incompatible "
                          "with this grid: the data has no smooth centre "
                          "in the solve chart")
-    stencil = _assemble_stencil(coeffs, inner_mode)
+    operator = _assemble_operator(coeffs, inner_mode)
 
     s, x = grid.r, grid.x
     sign = float(opts.direction)
@@ -196,8 +236,7 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
         u = boundary.copy()
 
     picard_changes = []
-    info = {}
-    sweeps = 0
+    residual = 0.0
     field = AxisymField(coeffs, u, delta=opts.delta)
     for it in range(1, opts.max_picard + 1):
         if np.max(np.abs(coeffs.K)) == 0.0:
@@ -205,12 +244,8 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
         else:
             gn = field.grad_norm(delta=opts.delta)
             source = -coeffs.K[:, None] * gn
-            source[stencil.fixed] = 0.0
-        u_new, info = solve_linear_elliptic(
-            grid, stencil, source, boundary, omega=opts.omega,
-            tol=opts.sor_tol * max(1.0, float(np.max(np.abs(boundary)))),
-            max_sweeps=opts.max_sweeps, u0=u)
-        sweeps += info["sweeps"]
+        u_new, info = solve_linear_elliptic(operator, source, boundary)
+        residual = max(residual, info["residual"])
         theta = opts.picard_damping if it > 1 else 1.0
         u_new = (1.0 - theta) * u + theta * u_new
         change = float(np.max(np.abs(u_new - u)))
@@ -236,9 +271,11 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
                        float(interior.max()) - bmax)
     diag = {
         "picard_changes": picard_changes,
-        # sweeps over all Picard steps; residual and omega of the last
-        "relaxation": {"sweeps": sweeps, "residual": info.get("residual"),
-                       "omega": info.get("omega")},
+        # over all Picard steps; residual is the largest max|A u - b|
+        "linear": {"factorizations": operator.factorizations,
+                   "solves": len(picard_changes),
+                   "factor_nnz": operator.factor_nnz,
+                   "residual": residual},
         "max_principle_violation": mp_violation,
         "inner_mode": inner_mode,
         "chart": coeffs.chart,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +113,11 @@ truncation = 15.0
         assert out["verdicts"]["corner_hypothesis_violated"]
         assert out["reports"]["massbound"]["lhs"] < 0
         assert out["reports"]["massbound"]["corner"] < 0
+        diag = out["reports"]["massbound"]["diagnostics"]
+        assert diag["linear"]["factorizations"] == 1
+        assert diag["linear"]["solves"] == len(diag["picard_changes"])
+        assert diag["linear"]["factor_nnz"] > 0
+        assert 0 <= diag["linear"]["residual"] <= 1e-8
 
     def test_massbound_csv_is_the_finest_field(self, tmp_path, capsys):
         path = write(tmp_path, "m.cfg", """
@@ -187,6 +196,37 @@ H = -3.0
 """)
         rc = cli.main(["certificate", "--config", path])
         assert rc == 3
+
+    def test_singular_factor_exits_3(self, tmp_path, capsys, monkeypatch):
+        import scipy.sparse.linalg
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        path = write(tmp_path, "m.cfg", """
+[run]
+scenario = flat
+resolutions = 16
+truncation = 12.0
+""")
+        rc = cli.main(["massbound", "--config", path, "--deterministic"])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+
+class TestImportPath:
+    def test_cli_import_skips_interpolate_and_optimize(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys, cornermass.cli; print(sorted(m for m in "
+                "('scipy.interpolate', 'scipy.optimize', "
+                "'scipy.sparse.linalg') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestDeterminism:

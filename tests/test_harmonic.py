@@ -38,7 +38,7 @@ class TestSolver:
         # Picard pass only confirms it
         assert len(fld.diagnostics["picard_changes"]) == 2
         assert fld.diagnostics["picard_changes"][-1] <= 1e-8 * 30.0
-        assert fld.diagnostics["relaxation"]["residual"] <= 5e-9 * 30.0
+        assert fld.diagnostics["linear"]["residual"] <= 5e-9 * 30.0
 
     def test_maximum_principle(self):
         for name in ("flat", "schwarzschild", "hyperbolic_negschw"):
@@ -54,26 +54,49 @@ class TestSolver:
         g_norms = []
         for n in (24, 48):
             fld = solve_spacetime_harmonic(data, n_r=n, n_theta=n, L=15.0)
-            assert fld.diagnostics["relaxation"]["residual"] <= 5e-10 * 15.0
+            assert fld.diagnostics["linear"]["residual"] <= 5e-10 * 15.0
             G = fld.laplacian() + fld.coeffs.K[:, None] * fld.grad_norm()
             i_c = fld.coeffs.corner_indices[0]
             interior = np.delete(G[1:-1, 1:-1], i_c - 1, axis=0)
             g_norms.append(float(np.max(np.abs(interior))))
         assert g_norms[1] <= 0.5 * g_norms[0]
 
-    def test_sweeps_counted_over_all_picard_steps(self):
+    def test_one_factorization_per_solve(self, monkeypatch):
+        import scipy.sparse.linalg
+        from cornermass.harmonic import solver
+        calls = {"splu": 0, "solve": 0}
+        splu, solve = scipy.sparse.linalg.splu, solver.solve_linear_elliptic
+
+        def counting_splu(*args, **kwargs):
+            calls["splu"] += 1
+            return splu(*args, **kwargs)
+
+        def counting_solve(*args, **kwargs):
+            calls["solve"] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+        monkeypatch.setattr(solver, "solve_linear_elliptic", counting_solve)
         data = scenario_build("hyperbolic_negschw")
         fld = solve_spacetime_harmonic(data, n_r=16, n_theta=16, L=10.0)
-        assert len(fld.diagnostics["picard_changes"]) > 2
-        assert fld.diagnostics["relaxation"]["sweeps"] > 0
+        steps = len(fld.diagnostics["picard_changes"])
+        linear = fld.diagnostics["linear"]
+        assert steps > 2
+        assert calls == {"splu": 1, "solve": steps}
+        assert linear["factorizations"] == 1
+        assert linear["solves"] == steps
+        assert linear["factor_nnz"] > 0
 
     def test_picard_contraction(self):
+        # damped Picard need not shrink the change at every step, but
+        # after a short transient each change is below the one two steps
+        # earlier
         for n in (24, 32):
             data = scenario_build("hyperbolic_negschw")
             fld = solve_spacetime_harmonic(data, n_r=n, n_theta=n, L=15.0)
-            changes = fld.diagnostics["picard_changes"][3:]
-            assert all(b <= a * (1 + 1e-9)
-                       for a, b in zip(changes, changes[1:]))
+            changes = fld.diagnostics["picard_changes"]
+            assert all(changes[k] < changes[k - 2]
+                       for k in range(3, len(changes)))
 
     def test_kappa_shell_sign(self):
         # K = const on a thin shell shifts u by a term whose sign matches

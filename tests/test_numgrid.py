@@ -3,7 +3,7 @@ import pytest
 
 from cornermass import numgrid
 from cornermass.errors import BracketError, IntegrationDivergedError, \
-    UnconvergedError
+    SingularFactorError
 
 
 class TestScalarProfile:
@@ -109,79 +109,80 @@ class TestFindRoot:
 def _flat_laplace_setup(n_r=16, n_theta=16, r_in=1.0, r_out=4.0):
     from cornermass.corner import scenario_build
     from cornermass.harmonic.fields import build_coefficients
-    from cornermass.harmonic.solver import _assemble_stencil
+    from cornermass.harmonic.solver import _assemble_operator
     grid = numgrid.AxisymGrid.build(np.linspace(r_in, r_out, n_r), n_theta)
     data = scenario_build("flat")
     coeffs = build_coefficients(data, grid, "areal")
-    stencil = _assemble_stencil(coeffs, "trapped_const")
-    return grid, stencil
+    return grid, _assemble_operator(coeffs, "trapped_const")
 
 
 class TestEllipticSolver:
     def test_laplace_annulus_linear_data(self):
-        grid, st = _flat_laplace_setup()
+        grid, op = _flat_laplace_setup()
         boundary = np.outer(grid.r, grid.x)
         u, info = numgrid.solve_linear_elliptic(
-            grid, st, np.zeros_like(boundary), boundary, tol=1e-12)
+            op, np.zeros_like(boundary), boundary)
         exact = np.outer(grid.r, grid.x)
         assert np.max(np.abs(u - exact)) < 1e-8
+        assert info["sweeps"] == 0
+        assert info["residual"] < 1e-12
 
     def test_poisson_radial_ball(self):
         # source -6, zero boundary on the unit ball -> u = 1 - r^2
         from cornermass.corner import scenario_build
         from cornermass.harmonic.fields import build_coefficients
-        from cornermass.harmonic.solver import _assemble_stencil
+        from cornermass.harmonic.solver import _assemble_operator
         grid = numgrid.AxisymGrid.build(np.linspace(1.0 / 24, 1.0, 24), 12)
         data = scenario_build("flat")
         coeffs = build_coefficients(data, grid, "areal")
-        st = _assemble_stencil(coeffs, "center")
+        op = _assemble_operator(coeffs, "center")
         boundary = np.zeros((grid.n_r, grid.n_theta))
         src = np.full_like(boundary, -6.0)
-        u, info = numgrid.solve_linear_elliptic(grid, st, src, boundary,
-                                                tol=1e-12)
+        u, info = numgrid.solve_linear_elliptic(op, src, boundary)
         exact = 1.0 - grid.r[:, None] ** 2
         assert np.max(np.abs(u - exact)) < 1e-8
 
     def test_zero_source_zero_boundary(self):
-        grid, st = _flat_laplace_setup()
+        grid, op = _flat_laplace_setup()
         boundary = np.zeros((grid.n_r, grid.n_theta))
         u, _ = numgrid.solve_linear_elliptic(
-            grid, st, np.zeros_like(boundary), boundary, tol=1e-13)
+            op, np.zeros_like(boundary), boundary)
         assert np.max(np.abs(u)) < 1e-12
 
-    def test_residual_monotone_after_transient(self):
-        # strict monotonicity is the unrelaxed (omega = 1) guarantee
-        grid, st = _flat_laplace_setup(n_r=20, n_theta=20)
-        boundary = np.outer(grid.r ** 2, grid.x ** 2)
-        u0 = np.zeros_like(boundary)
-        u0[st.fixed] = boundary[st.fixed]
-        u, info = numgrid.solve_linear_elliptic(
-            grid, st, np.zeros_like(boundary), boundary, tol=1e-9,
-            u0=u0, omega=1.0, check_every=1, collect_history=True)
-        hist = info["history"]
-        tail = hist[3:]
-        assert all(b <= a * (1 + 1e-12) for a, b in zip(tail, tail[1:]))
-
-    def test_iteration_cap(self):
-        grid, st = _flat_laplace_setup()
+    def test_factor_reused_across_solves(self):
+        grid, op = _flat_laplace_setup()
         boundary = np.outer(grid.r, grid.x)
-        u0 = np.zeros_like(boundary)
-        u0[st.fixed] = boundary[st.fixed]
-        with pytest.raises(UnconvergedError) as exc:
+        for scale in (1.0, 2.0, 3.0):
+            u, _ = numgrid.solve_linear_elliptic(
+                op, np.zeros_like(boundary), scale * boundary)
+            assert np.max(np.abs(u - scale * boundary)) < 1e-8
+        assert op.factorizations == 1
+        assert op.factor_nnz >= op.matrix.nnz
+
+    def test_singular_operator_raises(self):
+        grid, op = _flat_laplace_setup(n_r=8, n_theta=8)
+        # drop one interior node's equation: the system is then singular
+        A = op.matrix.tolil()
+        A[4 * grid.n_theta + 4, :] = 0.0
+        singular = numgrid.EllipticOperator(A, op.fixed, op.source_rows)
+        dense = singular.matrix.toarray()
+        assert np.linalg.matrix_rank(dense) < dense.shape[0]
+        boundary = np.outer(grid.r, grid.x)
+        with pytest.raises(SingularFactorError):
             numgrid.solve_linear_elliptic(
-                grid, st, np.zeros_like(boundary), boundary, tol=1e-14,
-                max_sweeps=3, u0=u0)
-        assert exc.value.residual is not None
+                singular, np.zeros_like(boundary), boundary)
+        assert singular.factorizations == 0
 
 
 class TestDeterminism:
     def test_bitwise_repeatability(self):
-        grid, st = _flat_laplace_setup()
-        boundary = np.outer(grid.r, np.abs(grid.x) ** 1.5)
+        # two independent assemblies and factorizations
         runs = []
         for _ in range(2):
+            grid, op = _flat_laplace_setup()
+            boundary = np.outer(grid.r, np.abs(grid.x) ** 1.5)
             u, _ = numgrid.solve_linear_elliptic(
-                grid, st, np.zeros_like(boundary), boundary, tol=1e-11)
+                op, np.zeros_like(boundary), boundary)
             runs.append(u.copy())
         assert np.array_equal(runs[0], runs[1])
 
