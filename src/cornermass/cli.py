@@ -34,7 +34,8 @@ from .errors import (ConfigError, CornerMassError, HypothesisError,
                      IntegrationDivergedError, PicardStagnationError,
                      SingularFactorError)
 from . import corner, extension, geometry, masses
-from .harmonic import SolveOptions, mass_bound_sweep, solve_spacetime_harmonic
+from .harmonic import (SolveOptions, build_solver_grid, mass_bound_sweep,
+                       solve_spacetime_harmonic)
 
 SCHEMA_VERSION = 1
 
@@ -215,25 +216,53 @@ def cmd_constraints(cfg, args):
     return reports, {"dec_ok": ok}, (0 if ok else 1)
 
 
-def cmd_massbound(cfg, args):
-    data = _scenario_from_config(cfg)
-    radii = _as_list(_get(cfg, "run.adm_radii", [50.0, 100.0, 200.0]))
-    adm = masses.adm_energy_momentum(data, [float(r) for r in radii])
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _massbound_run_keys(cfg, data):
+    """The grid and asymptote keys of massbound, checked before any solve:
+    (resolutions, n_theta, truncation, direction)."""
     resolutions = _as_list(_get(cfg, "run.resolutions", [32, 64]))
+    if not all(_is_int(n) and n >= 8 for n in resolutions):
+        raise ConfigError("resolutions must be integers >= 8",
+                          field="run.resolutions")
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise ConfigError("resolutions must be strictly increasing",
                           field="run.resolutions")
+    n_theta = _get(cfg, "run.n_theta")
+    if n_theta is not None and not (_is_int(n_theta) and n_theta >= 8):
+        raise ConfigError("n_theta must be an integer >= 8",
+                          field="run.n_theta")
+    L = _get(cfg, "run.truncation", 30.0)
+    if not (isinstance(L, (int, float)) and not isinstance(L, bool)
+            and L > 0):
+        raise ConfigError("truncation must be a positive number",
+                          field="run.truncation")
+    try:    # the grid builder judges the truncation on its smallest grid
+        build_solver_grid(data, 8, 8, float(L), _get(cfg, "run.r_inner"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"truncation {L!r}: {exc}", field="run.truncation")
+    direction = _get(cfg, "run.direction", 1)
+    if direction not in (1, -1) or isinstance(direction, bool):
+        raise ConfigError("direction must be 1 or -1 (the +z or -z "
+                          "asymptote)", field="run.direction")
+    return resolutions, n_theta, float(L), int(direction)
+
+
+def cmd_massbound(cfg, args):
+    data = _scenario_from_config(cfg)
+    resolutions, n_theta, L, direction = _massbound_run_keys(cfg, data)
     delta = float(_get(cfg, "run.delta", 1e-2))
     if delta <= 0 or float(_get(cfg, "run.picard_tol", 1e-9)) <= 0:
         raise ConfigError("tolerances must be positive", field="run.delta")
+    radii = _as_list(_get(cfg, "run.adm_radii", [50.0, 100.0, 200.0]))
+    adm = masses.adm_energy_momentum(data, [float(r) for r in radii])
     opts = SolveOptions(
-        delta=delta,
-        direction=int(_get(cfg, "run.direction", 1)),
+        delta=delta, direction=direction,
         picard_tol=float(_get(cfg, "run.picard_tol", 1e-9)))
     rep, finest = mass_bound_sweep(
-        data, adm, resolutions=[int(n) for n in resolutions],
-        n_theta=_get(cfg, "run.n_theta"),
-        L=float(_get(cfg, "run.truncation", 30.0)),
+        data, adm, resolutions=resolutions, n_theta=n_theta, L=L,
         r_inner=_get(cfg, "run.r_inner"), options=opts)
     verdicts = {
         "slack_nonnegative": rep.verdict,

@@ -14,7 +14,8 @@ Angular finite differences act on x = cos(theta), where 3-point stencils
 differentiate the asymptote rho cos(theta) exactly in the flat case;
 radial stencils never cross a corner (corner nodes terminate every
 stencil, with one-sided values kept per side), so kinks in the profiles
-are never differenced.
+are never differenced.  The weights depend only on the grid, so each
+GridCoefficients builds its tables once (``DerivativeStencils``).
 
 Covariant Hessian, orthonormal frame (e_s, e_th, e_ph):
 
@@ -67,6 +68,9 @@ def build_solver_grid(data: GluedDataSet, n_r, n_theta, L,
     """
     if data.chart is not None:
         m = data.chart.mass
+        if not L > 2.0 * m:
+            raise ValueError("truncation radius must lie outside the "
+                             "horizon r = 2m")
         sig_hi = areal_sigma(m, L)
         # default inner boundary: a weakly trapped sphere just inside the
         # minimal surface (theta_+ < 0 there)
@@ -105,6 +109,91 @@ def build_solver_grid(data: GluedDataSet, n_r, n_theta, L,
 
 
 # ---------------------------------------------------------------------------
+# Finite-difference machinery
+# ---------------------------------------------------------------------------
+# The 3-point weights depend only on the grid and its segments: each
+# GridCoefficients builds them once, and a derivative is three whole-array
+# products summed in a fixed order (bit-identical to a per-node loop).
+
+class StencilTable:
+    """Three-point weights along one grid axis (0 = r, 1 = x): output row
+    k is w[k, 0] v[j0[k]] + w[k, 1] v[j0[k] + 1] + w[k, 2] v[j0[k] + 2],
+    the parabola through z[j0[k]:j0[k] + 3] differentiated ``order``
+    times at z[at[k]]."""
+
+    def __init__(self, z, j0, at, order, axis):
+        triples = (z[j0], z[j0 + 1], z[j0 + 2])
+        if order == 1:
+            self.w = stencil_d1(*triples)[at - j0, :, np.arange(j0.size)]
+        else:
+            self.w = stencil_d2(*triples).T
+        self.j0, self.axis = j0, axis
+
+    def apply(self, vals):
+        j0 = self.j0
+        if self.axis == 0:
+            w = self.w[:, :, None]
+            return w[:, 0] * vals[j0] + w[:, 1] * vals[j0 + 1] \
+                + w[:, 2] * vals[j0 + 2]
+        w = self.w
+        return w[:, 0] * vals[:, j0] + w[:, 1] * vals[:, j0 + 1] \
+            + w[:, 2] * vals[:, j0 + 2]
+
+
+class DerivativeStencils:
+    """A grid's derivative tables; ``r``, ``r_plus`` and ``x`` hold the
+    first-order table at index 0 and the second-order one at index 1.
+
+    ``r`` holds the minus-side (left-segment) row at corner nodes,
+    ``r_plus`` the plus-side rows at the nodes ``corners``.
+    """
+
+    def __init__(self, grid: AxisymGrid, segments):
+        nodes = np.arange(grid.n_r)
+        j0 = np.empty(grid.n_r, dtype=np.intp)
+        for k, (lo, hi) in enumerate(segments):
+            i = nodes[lo + (k > 0):hi + 1]     # a corner keeps its minus row
+            j0[i] = np.clip(i - 1, lo, hi - 2)
+        self.corners = np.array([lo for lo, _ in segments[1:]],
+                                dtype=np.intp)
+        cols = np.arange(grid.n_theta)
+        jx = np.clip(cols - 1, 0, grid.n_theta - 3)
+        orders = (1, 2)
+        self.r = tuple(StencilTable(grid.r, j0, nodes, o, 0) for o in orders)
+        self.r_plus = tuple(StencilTable(grid.r, self.corners, self.corners,
+                                         o, 0) for o in orders)
+        self.x = tuple(StencilTable(grid.x, jx, cols, o, 1) for o in orders)
+
+    def d_r(self, vals, order, side="minus"):
+        """Radial derivative; side='plus' takes the plus-side corner rows."""
+        main = self.r[order - 1].apply(vals)
+        return self.plus_side(main, vals, order) if side == "plus" else main
+
+    def plus_side(self, main, vals, order):
+        """``main`` = d_r(vals, order) with its corner rows replaced by the
+        plus-side ones (``main`` itself when the grid has no corner)."""
+        if not self.corners.size:
+            return main
+        out = main.copy()
+        out[self.corners] = self.r_plus[order - 1].apply(vals)
+        return out
+
+    def d_x(self, vals, order):
+        return self.x[order - 1].apply(vals)
+
+
+def _d_r(vals, grid, segments, order):
+    """One-off radial derivative (minus side at corners); code holding a
+    GridCoefficients uses its prebuilt ``stencils`` instead."""
+    return DerivativeStencils(grid, segments).d_r(vals, order)
+
+
+def _d_x(vals, grid, order):
+    """One-off angular derivative, see ``_d_r``."""
+    return DerivativeStencils(grid, [(0, grid.n_r - 1)]).d_x(vals, order)
+
+
+# ---------------------------------------------------------------------------
 # Chart coefficients sampled on a grid
 # ---------------------------------------------------------------------------
 
@@ -115,8 +204,9 @@ class GridCoefficients:
     Main arrays hold the minus-side limit at corner nodes;
     ``corner_plus[i]`` holds plus-side values.  ``segments`` are inclusive
     (lo, hi) node-index ranges of the smooth pieces; every radial stencil
-    is built inside one segment.  In the areal chart f = 1/lam is kept
-    alongside for the boundary-identity checkers.
+    is built inside one segment, and ``stencils`` holds the grid's
+    derivative tables, built once here.  In the areal chart f = 1/lam is
+    kept alongside for the boundary-identity checkers.
     """
 
     data: GluedDataSet
@@ -138,6 +228,10 @@ class GridCoefficients:
     fp: np.ndarray
     sqf: np.ndarray
     corner_plus: Dict[int, Dict[str, float]]
+    stencils: DerivativeStencils = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.stencils = DerivativeStencils(self.grid, self.segments)
 
     @property
     def volume_density(self):
@@ -230,47 +324,6 @@ def build_coefficients(data: GluedDataSet, grid: AxisymGrid,
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference machinery
-# ---------------------------------------------------------------------------
-
-def _d_r(vals, grid, segments, order, corner_plus_rows=None):
-    """Segment-aware radial derivative.
-
-    The main output holds the minus-side (left-segment) limit at corner
-    nodes; the plus-side rows go into ``corner_plus_rows`` when a dict is
-    supplied and are discarded otherwise.
-    """
-    r = grid.r
-    out = np.zeros_like(vals)
-    for (lo, hi) in segments:
-        for i in range(lo, hi + 1):
-            j0 = lo if i == lo else (hi - 2 if i == hi else i - 1)
-            z = r[j0:j0 + 3]
-            w = stencil_d1(*z)[i - j0] if order == 1 else stencil_d2(*z)
-            row = (w[0] * vals[j0] + w[1] * vals[j0 + 1]
-                   + w[2] * vals[j0 + 2])
-            if i == lo and lo != 0:
-                if corner_plus_rows is not None:
-                    corner_plus_rows[i] = row
-            else:
-                out[i] = row
-    return out
-
-
-def _d_x(vals, grid, order):
-    x = grid.x
-    M1 = x.size
-    out = np.zeros_like(vals)
-    for j in range(M1):
-        j0 = 0 if j == 0 else (M1 - 3 if j == M1 - 1 else j - 1)
-        z = x[j0:j0 + 3]
-        w = stencil_d1(*z)[j - j0] if order == 1 else stencil_d2(*z)
-        out[:, j] = (w[0] * vals[:, j0] + w[1] * vals[:, j0 + 1]
-                     + w[2] * vals[:, j0 + 2])
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Fields
 # ---------------------------------------------------------------------------
 
@@ -302,26 +355,30 @@ class AxisymField:
     # -- finite differences ----------------------------------------------
 
     def _derivs(self):
+        """u_r, u_rr, u_x, u_xx, u_rx on every node, minus side at corners;
+        under "plus" the radial three with the plus-side corner rows."""
         if "u_r" in self._cache:
             return self._cache
-        g, segs = self.grid, self.coeffs.segments
-        plus_r, plus_rr, plus_rx = {}, {}, {}
-        u_r = _d_r(self.values, g, segs, 1, corner_plus_rows=plus_r)
-        u_rr = _d_r(self.values, g, segs, 2, corner_plus_rows=plus_rr)
-        u_x = _d_x(self.values, g, 1)
-        u_xx = _d_x(self.values, g, 2)
-        u_rx = _d_r(u_x, g, segs, 1, corner_plus_rows=plus_rx)
-        self._cache.update(u_r=u_r, u_rr=u_rr, u_x=u_x, u_xx=u_xx,
-                           u_rx=u_rx, plus_r=plus_r, plus_rr=plus_rr,
-                           plus_rx=plus_rx)
+        st, v = self.coeffs.stencils, self.values
+        u_x = st.d_x(v, 1)
+        d = dict(u_r=st.d_r(v, 1), u_rr=st.d_r(v, 2), u_x=u_x,
+                 u_xx=st.d_x(v, 2), u_rx=st.d_r(u_x, 1))
+        d["plus"] = dict(u_r=st.plus_side(d["u_r"], v, 1),
+                         u_rr=st.plus_side(d["u_rr"], v, 2),
+                         u_rx=st.plus_side(d["u_rx"], u_x, 1))
+        self._cache.update(d)
         return self._cache
+
+    def _radial(self, side):
+        """(u_s, u_ss, u_sx) on every node for the given corner side."""
+        d = self._derivs()
+        if side == "plus":
+            d = d["plus"]
+        return d["u_r"], d["u_rr"], d["u_rx"]
 
     def radial_derivative_rows(self, i, side="minus"):
         """(u_s, u_ss, u_sx) rows at radial index i for the given side."""
-        d = self._derivs()
-        if side == "plus" and i in d["plus_r"]:
-            return d["plus_r"][i], d["plus_rr"][i], d["plus_rx"][i]
-        return d["u_r"][i], d["u_rr"][i], d["u_rx"][i]
+        return tuple(a[i] for a in self._radial(side))
 
     def _side_arrays(self, names, side):
         c = self.coeffs
@@ -334,16 +391,12 @@ class AxisymField:
 
     def gradient(self, side="minus"):
         """(u_t, q): proper radial derivative u_s/sqrt(lam) and u_theta/rho."""
-        d = self._derivs()
         g = self.grid
         sin = np.sqrt(np.maximum(1.0 - g.x**2, 0.0))[None, :]
-        u_r = d["u_r"].copy()
-        if side == "plus":
-            for i, row in d["plus_r"].items():
-                u_r[i] = row
+        u_r = self._radial(side)[0]
         (sqlam, rho) = self._side_arrays(("sqlam", "rho"), side)
         u_t = u_r / sqlam[:, None]
-        q = -sin * d["u_x"] / rho[:, None]
+        q = -sin * self._derivs()["u_x"] / rho[:, None]
         return u_t, q
 
     def grad_norm(self, side="minus", delta=None):
@@ -357,13 +410,8 @@ class AxisymField:
     def laplacian(self, side="minus"):
         """Delta u from the same stencils used everywhere else."""
         d = self._derivs()
-        g = self.grid
-        x = g.x[None, :]
-        u_r, u_rr = d["u_r"].copy(), d["u_rr"].copy()
-        if side == "plus":
-            for i, row in d["plus_r"].items():
-                u_r[i] = row
-                u_rr[i] = d["plus_rr"][i]
+        x = self.grid.x[None, :]
+        u_r, u_rr, _ = self._radial(side)
         lam, lamp, rho, rhop = [arr[:, None] for arr in self._side_arrays(
             ("lam", "lamp", "rho", "rhop"), side)]
         ang = ((1.0 - x * x) * d["u_xx"] - 2.0 * x * d["u_x"]) / (rho * rho)
@@ -408,12 +456,7 @@ def _hessian_components(field: AxisymField, side="minus"):
     d = field._derivs()
     x = g.x[None, :]
     sin = np.sqrt(np.maximum(1.0 - g.x**2, 0.0))[None, :]
-    u_r, u_rr, u_rx = d["u_r"].copy(), d["u_rr"].copy(), d["u_rx"].copy()
-    if side == "plus":
-        for i in d["plus_r"]:
-            u_r[i] = d["plus_r"][i]
-            u_rr[i] = d["plus_rr"][i]
-            u_rx[i] = d["plus_rx"][i]
+    u_r, u_rr, u_rx = field._radial(side)
     lam, lamp, sqlam, rho, rhop = [arr[:, None] for arr in
                                    field._side_arrays(
                                        ("lam", "lamp", "sqlam", "rho",

@@ -39,7 +39,7 @@ import numpy as np
 from ..corner import GluedDataSet
 from ..errors import DomainError
 from ..numgrid import gauss_x_nodes
-from .fields import AxisymField, _d_r, _d_x, spacetime_hessian
+from .fields import AxisymField, spacetime_hessian
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +152,7 @@ def boundary_formula_check(data: GluedDataSet, field: AxisymField, r_c,
             dnu_gn = sqf * dr_gn / gn
     else:
         gn_field = field.grad_norm_plain(side)
-        d_gn = _d_r(gn_field, field.grid, field.coeffs.segments, 1)
-        row = d_gn[i]
-        if side == "plus":
-            plus_rows = {}
-            _d_r(gn_field, field.grid, field.coeffs.segments, 1,
-                 corner_plus_rows=plus_rows)
-            if i in plus_rows:
-                row = plus_rows[i]
-        dnu_gn = sqf * row
+        dnu_gn = sqf * field.coeffs.stencils.d_r(gn_field, 1, side)[i]
     k_term = a_k * p
     lhs_pt = dnu_gn + k_term
 
@@ -280,15 +272,14 @@ def integral_formula_check(data: GluedDataSet, field: AxisymField,
     lhs = float(np.sum(integrand * vol))
 
     # ---- boundary sphere terms ----
+    st = c.stencils
     gn_field = gnd if delta > 0 else gn
-    d_gn_r = _d_r(gn_field, grid, c.segments, 1)
-    sin = np.sqrt(np.maximum(1.0 - grid.x**2, 0.0))
-
+    gn_r = st.d_r(gn_field, 1)
     d = field._derivs()
 
     def sphere_terms(i, sigma):
         area_el = 2.0 * np.pi * r[i] ** 2 * w_x
-        dnu = sigma * c.sqf[i] * d_gn_r[i]
+        dnu = sigma * c.sqf[i] * gn_r[i]
         kflux = sigma * c.a[i] * u_t[i]
         p = sigma * u_t[i]
         qq = q[i]
@@ -357,18 +348,16 @@ def integral_formula_check(data: GluedDataSet, field: AxisymField,
 
     # ---- harmonicity defect ----
     G = field.laplacian() + c.K[:, None] * gn
-    G_r = _d_r(G, grid, c.segments, 1)
-    G_x = _d_x(G, grid, 1)
-    gn_r = _d_r(gn_field, grid, c.segments, 1)
-    gn_x = _d_x(gn_field, grid, 1)
+    G_r = st.d_r(G, 1)
+    G_x = st.d_x(G, 1)
+    gn_x = st.d_x(gn_field, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / gnd
     # < grad G, n > and n(|grad u|) with n = grad u / |grad u|_delta
     rr_all = r[:, None]
-    sinr = sin[None, :]
-    grad_dot = lambda A_r, A_x: (c.f[:, None] * A_r * field._derivs()["u_r"]
+    grad_dot = lambda A_r, A_x: (c.f[:, None] * A_r * d["u_r"]
                                  + (1.0 - grid.x[None, :]**2)
-                                 * A_x * field._derivs()["u_x"] / rr_all**2)
+                                 * A_x * d["u_x"] / rr_all**2)
     dG_n = grad_dot(G_r, G_x) * inv
     phi_n = grad_dot(gn_r, gn_x) * inv
     defect_int = (dG_n - G * (c.K[:, None] + phi_n * inv)

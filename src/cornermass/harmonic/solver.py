@@ -160,10 +160,12 @@ def _assemble_operator(coeffs: GridCoefficients,
         put(N * M1, idx[0], -(r2 * r2 / den) * wm)
         put(N * M1, idx[1], (r1 * r1 / den) * wm)
 
-    # corner rings: continuity of the radial flux u_s / sqrt(lam)
-    for i in coeffs.corner_indices:
-        wL = stencil_d1(*s[i - 2:i + 1])[2]
-        wR = stencil_d1(*s[i:i + 3])[0]
+    # corner rings: continuity of the radial flux u_s / sqrt(lam), with
+    # the one-sided first-derivative rows of the field derivatives
+    d_r, d_r_plus = coeffs.stencils.r[0], coeffs.stencils.r_plus[0]
+    for k, i in enumerate(coeffs.corner_indices):
+        wL = d_r.w[i]
+        wR = d_r_plus.w[k]
         sfL = 1.0 / coeffs.sqlam[i]
         sfR = 1.0 / np.sqrt(coeffs.corner_plus[i]["lam"])
         coefs = (sfL * wL[0], sfL * wL[1], sfL * wL[2] - sfR * wR[0],

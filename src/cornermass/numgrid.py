@@ -144,10 +144,11 @@ def _fd_derivative(fn, order):
 def stencil_d1(z0, z1, z2):
     """First-derivative weights at (z0, z1, z2) for each of the three nodes.
 
-    Returns a (3, 3) array W with d/dz at z_i ~ W[i] . [f0, f1, f2].
+    Returns a (3, 3) array W with d/dz at z_i ~ W[i] . [f0, f1, f2]; for
+    arrays of node triples, W[i, j] holds one weight per triple.
     """
     z = np.array([z0, z1, z2], dtype=float)
-    W = np.empty((3, 3))
+    W = np.empty((3, 3) + z.shape[1:])
     for i in range(3):
         for j in range(3):
             others = [k for k in range(3) if k != j]
@@ -158,18 +159,19 @@ def stencil_d1(z0, z1, z2):
                     if n != m:
                         prod *= z[i] - z[n]
                 num += prod
-            den = np.prod([z[j] - z[n] for n in others])
+            den = np.prod([z[j] - z[n] for n in others], axis=0)
             W[i, j] = num / den
     return W
 
 
 def stencil_d2(z0, z1, z2):
-    """Second-derivative weights of the parabola through (z0, z1, z2)."""
+    """Second-derivative weights of the parabola through (z0, z1, z2),
+    one column per triple for arrays of node triples."""
     z = np.array([z0, z1, z2], dtype=float)
-    W = np.empty(3)
+    W = np.empty((3,) + z.shape[1:])
     for j in range(3):
         others = [k for k in range(3) if k != j]
-        den = np.prod([z[j] - z[n] for n in others])
+        den = np.prod([z[j] - z[n] for n in others], axis=0)
         W[j] = 2.0 / den
     return W
 

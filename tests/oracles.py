@@ -4,9 +4,16 @@ Everything here reconstructs tensors from the rotationally symmetric
 profiles on a 3-D Cartesian stencil and differentiates numerically:
 slow, independent of the chart formulas under test, accurate to the
 finite-difference step (~1e-6 relative for smooth profiles).
+
+The per-node grid derivatives at the end are the reference for the
+prebuilt stencil tables of ``cornermass.harmonic.fields``: they recompute
+every 3-point weight at every node and sum in the same order, so the
+tables must match them exactly.
 """
 
 import numpy as np
+
+from cornermass.numgrid import stencil_d1, stencil_d2
 
 
 def metric_at(patch, x):
@@ -150,3 +157,41 @@ def flux_integrand_cartesian(patch, x, h=None):
     for j in range(3):
         total += sum(dg[i][i, j] - dg[j][i, i] for i in range(3)) * nu[j]
     return total
+
+
+def d_r_per_node(vals, grid, segments, order, corner_plus_rows=None):
+    """Segment-aware radial derivative, one node at a time.
+
+    The main output holds the minus-side (left-segment) limit at corner
+    nodes; the plus-side rows go into ``corner_plus_rows`` when a dict is
+    supplied.
+    """
+    r = grid.r
+    out = np.zeros_like(vals)
+    for (lo, hi) in segments:
+        for i in range(lo, hi + 1):
+            j0 = lo if i == lo else (hi - 2 if i == hi else i - 1)
+            z = r[j0:j0 + 3]
+            w = stencil_d1(*z)[i - j0] if order == 1 else stencil_d2(*z)
+            row = (w[0] * vals[j0] + w[1] * vals[j0 + 1]
+                   + w[2] * vals[j0 + 2])
+            if i == lo and lo != 0:
+                if corner_plus_rows is not None:
+                    corner_plus_rows[i] = row
+            else:
+                out[i] = row
+    return out
+
+
+def d_x_per_node(vals, grid, order):
+    """Angular derivative in x = cos(theta), one column at a time."""
+    x = grid.x
+    M1 = x.size
+    out = np.zeros_like(vals)
+    for j in range(M1):
+        j0 = 0 if j == 0 else (M1 - 3 if j == M1 - 1 else j - 1)
+        z = x[j0:j0 + 3]
+        w = stencil_d1(*z)[j - j0] if order == 1 else stencil_d2(*z)
+        out[:, j] = (w[0] * vals[:, j0] + w[1] * vals[:, j0 + 1]
+                     + w[2] * vals[:, j0 + 2])
+    return out

@@ -68,6 +68,25 @@ r0 = 2.0
         assert exc.value.field == field
         assert cli.main(["constraints", "--config", path]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("direction", "2"),
+        ("truncation", "1e6"),
+        ("resolutions", "16 x"),
+        ("resolutions", "2"),
+        ("n_theta", "2"),
+    ], ids=["direction", "truncation", "resolutions_type",
+            "resolutions_small", "n_theta"])
+    def test_run_key_errors_are_config_errors(self, tmp_path, key, value):
+        keys = {"scenario": "hyperbolic_negschw", "resolutions": "16",
+                key: value}
+        path = write(tmp_path, "r.cfg", "[run]\n" + "".join(
+            f"{k} = {v}\n" for k, v in keys.items()))
+        args = cli.argparse.Namespace(csv=None)
+        with pytest.raises(ConfigError) as exc:
+            cli.cmd_massbound(cli.parse_config(path), args)
+        assert exc.value.field == f"run.{key}"
+        assert cli.main(["massbound", "--config", path]) == 2
+
 
 class TestCommands:
     def test_constraints_flat(self, tmp_path, capsys):

@@ -227,6 +227,77 @@ class TestHessian:
         assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(a))
 
 
+class TestStencilTables:
+    """The prebuilt per-grid tables against the per-node reference loops."""
+
+    @pytest.mark.parametrize("scenario, n, L", [
+        ("hyperbolic_negschw", 48, 30.0), ("flat", 48, 20.0)])
+    def test_bit_identical_to_per_node_loops(self, scenario, n, L):
+        import oracles
+        data = scenario_build(scenario)
+        grid = build_solver_grid(data, n, n, L)
+        coeffs = build_coefficients(data, grid)
+        if scenario == "hyperbolic_negschw":
+            assert coeffs.corner_indices == [26]
+        rng = np.random.default_rng(7)
+        vals = rng.standard_normal((grid.n_r, grid.n_theta))
+        st = coeffs.stencils
+        for order in (1, 2):
+            plus = {}
+            want = oracles.d_r_per_node(vals, grid, coeffs.segments, order,
+                                        corner_plus_rows=plus)
+            assert sorted(plus) == coeffs.corner_indices
+            assert np.all(st.d_r(vals, order) == want)
+            got_plus = st.d_r(vals, order, "plus")
+            for i, row in plus.items():
+                want[i] = row
+            assert np.all(got_plus == want)
+            assert np.all(st.d_x(vals, order)
+                          == oracles.d_x_per_node(vals, grid, order))
+        # the field derivatives, u_rx and the plus-side rows included
+        d = AxisymField(coeffs, vals)._derivs()
+        u_x = oracles.d_x_per_node(vals, grid, 1)
+        plus_rx = {}
+        u_rx = oracles.d_r_per_node(u_x, grid, coeffs.segments, 1,
+                                    corner_plus_rows=plus_rx)
+        assert np.all(d["u_x"] == u_x) and np.all(d["u_rx"] == u_rx)
+        for i, row in plus_rx.items():
+            u_rx[i] = row
+        assert np.all(d["plus"]["u_rx"] == u_rx)
+
+    def test_no_stencil_weights_per_picard_step(self, monkeypatch):
+        from cornermass.harmonic import fields, solver
+        calls = []
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (fields, solver):
+            for name in ("stencil_d1", "stencil_d2"):
+                counting(module, name)
+        data = scenario_build("hyperbolic_negschw")
+        grid = build_solver_grid(data, 16, 16, 10.0)
+        solver._assemble_operator(build_coefficients(data, grid), "center")
+        setup = len(calls)
+        assert setup > 0
+        per_solve = []
+        for tol in (1e-3, 1e-9):
+            del calls[:]
+            fld = solve_spacetime_harmonic(
+                data, n_r=16, n_theta=16, L=10.0,
+                options=SolveOptions(picard_tol=tol))
+            per_solve.append((len(fld.diagnostics["picard_changes"]),
+                              len(calls)))
+        (steps_a, calls_a), (steps_b, calls_b) = per_solve
+        assert steps_a < steps_b
+        assert calls_a == calls_b == setup
+
+
 class TestMassBound:
     def test_flat_slack_zero(self, flat_field):
         data, fld = flat_field
