@@ -182,17 +182,6 @@ class DerivativeStencils:
         return self.x[order - 1].apply(vals)
 
 
-def _d_r(vals, grid, segments, order):
-    """One-off radial derivative (minus side at corners); code holding a
-    GridCoefficients uses its prebuilt ``stencils`` instead."""
-    return DerivativeStencils(grid, segments).d_r(vals, order)
-
-
-def _d_x(vals, grid, order):
-    """One-off angular derivative, see ``_d_r``."""
-    return DerivativeStencils(grid, [(0, grid.n_r - 1)]).d_x(vals, order)
-
-
 # ---------------------------------------------------------------------------
 # Chart coefficients sampled on a grid
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Deterministic numerical kernel: radial profiles, axisymmetric grids,
 quadrature, an explicit ODE integrator, a direct (sparse LU) elliptic
-solve, root bracketing and Richardson extrapolation.
+solve, a bracketed root finder and Richardson extrapolation.
 
 Everything in this module is a pure function of its inputs; no global state,
 no randomness.  Identical inputs produce identical outputs across runs.  The
 one cache, an elliptic operator's LU factor, depends only on the operator.
-scipy.interpolate, scipy.optimize and scipy.sparse.linalg are imported by
-the one function that uses each, so importing the package loads none of
-them.
+The only scipy module used here, scipy.sparse.linalg, is imported by the
+one function that factors an operator, so importing the package loads no
+scipy and commands that solve no elliptic problem never do.
 
 Conventions
 -----------
@@ -39,15 +39,10 @@ _DOMAIN_SLACK = 1e-12
 # ---------------------------------------------------------------------------
 
 class ScalarProfile:
-    """A scalar function of radius with first and second derivatives.
-
-    Two backing modes:
-
-    * analytic closures (value plus optional derivative callables; missing
-      derivatives fall back to central finite differences of the closure),
-    * cubic splines over samples (natural end conditions, or Hermite when
-      derivative samples are supplied).  Spline mode reproduces its own
-      samples exactly at the nodes.
+    """A scalar function of radius with first and second derivatives,
+    backed by analytic closures: a value callable plus optional derivative
+    callables, missing derivatives falling back to central finite
+    differences of the closure.
     """
 
     def __init__(self, value, d1, d2, domain, label=""):
@@ -75,23 +70,6 @@ class ScalarProfile:
                    lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                    lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                    domain, label)
-
-    @classmethod
-    def from_samples(cls, r, v, dv=None, label=""):
-        r = np.asarray(r, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if r.ndim != 1 or r.size < 4:
-            raise ValueError("need at least 4 sample points")
-        if np.any(np.diff(r) <= 0):
-            raise ValueError("sample radii must be strictly increasing")
-        from scipy.interpolate import CubicHermiteSpline, CubicSpline
-        if dv is None:
-            spl = CubicSpline(r, v, bc_type="natural")
-        else:
-            spl = CubicHermiteSpline(r, v, np.asarray(dv, dtype=float))
-        d1 = spl.derivative(1)
-        d2 = spl.derivative(2)
-        return cls(spl, d1, d2, (r[0], r[-1]), label)
 
     # -- evaluation ---------------------------------------------------
 
@@ -387,7 +365,17 @@ def integrate_ode(rhs, y0, interval, step, max_retries=1):
 # ---------------------------------------------------------------------------
 
 def find_root(f, bracket, tol=1e-12):
-    """Bisection/secant hybrid root of a continuous f with a sign change."""
+    """Root of f in a bracket whose end values differ in sign.
+
+    Illinois steps (regula falsi with the value at an end that is kept
+    twice in a row halved) shrink the bracket superlinearly on smooth f;
+    a step that fails to halve the bracket is followed by a bisection, so
+    the bracket at least halves every two evaluations even on a flat or
+    discontinuous f.  Stops when the bracket is no wider than ``tol`` (or
+    has no float strictly inside) and returns the end with the smaller
+    |f|, which lies within ``tol`` of a sign change of f.  Raises
+    BracketError when the end values have the same sign.
+    """
     a, b = float(bracket[0]), float(bracket[1])
     fa, fb = float(f(a)), float(f(b))
     if fa == 0.0:
@@ -396,8 +384,33 @@ def find_root(f, bracket, tol=1e-12):
         return b
     if fa * fb > 0.0:
         raise BracketError(f"no sign change on [{a}, {b}]: f={fa:.3g},{fb:.3g}")
-    from scipy.optimize import brentq
-    return float(brentq(f, a, b, xtol=tol, rtol=8.881784197001252e-16))
+    ga, gb = fa, fb                 # end values as weighted by Illinois
+    kept = None                     # the end kept by the last step
+    bisect = False
+    while True:
+        width, mid = abs(b - a), 0.5 * (a + b)
+        if width <= tol or not min(a, b) < mid < max(a, b):
+            break
+        x = mid
+        if not bisect:
+            x = b - gb * (b - a) / (gb - ga)
+            if not min(a, b) < x < max(a, b):
+                x = mid
+        fx = float(f(x))
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa, ga = x, fx, fx
+            if kept == "b":
+                gb *= 0.5
+            kept = "b"
+        else:
+            b, fb, gb = x, fx, fx
+            if kept == "a":
+                ga *= 0.5
+            kept = "a"
+        bisect = abs(b - a) > 0.5 * width
+    return a if abs(fa) < abs(fb) else b
 
 
 # ---------------------------------------------------------------------------

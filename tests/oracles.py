@@ -9,11 +9,14 @@ The per-node grid derivatives at the end are the reference for the
 prebuilt stencil tables of ``cornermass.harmonic.fields``: they recompute
 every 3-point weight at every node and sum in the same order, so the
 tables must match them exactly.
+
+``shi_tam_rk4`` integrates the scalar-flat extension ODE by RK4, the
+oracle of the closed-form profile of ``cornermass.extension``.
 """
 
 import numpy as np
 
-from cornermass.numgrid import stencil_d1, stencil_d2
+from cornermass.numgrid import integrate_ode, stencil_d1, stencil_d2
 
 
 def metric_at(patch, x):
@@ -195,3 +198,13 @@ def d_x_per_node(vals, grid, order):
         out[:, j] = (w[0] * vals[:, j0] + w[1] * vals[:, j0 + 1]
                      + w[2] * vals[:, j0 + 2])
     return out
+
+
+def shi_tam_rk4(r0, h_eff, span=1000.0, n_steps=4000):
+    """f' = 1 - f in s = log(r/r0), f(0) = (h_eff r0 / 2)^2, by RK4 at step
+    log(span)/n_steps out to r = span r0; returns (s, f) at the n_steps + 1
+    step ends."""
+    f0 = (h_eff * r0 / 2.0) ** 2
+    s, ys = integrate_ode(lambda s, y: 1.0 - y, [f0], (0.0, np.log(span)),
+                          np.log(span) / n_steps)
+    return s, ys[:, 0]

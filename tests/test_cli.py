@@ -235,17 +235,47 @@ truncation = 12.0
 
 
 class TestImportPath:
-    def test_cli_import_skips_interpolate_and_optimize(self):
+    @staticmethod
+    def _loaded(code, cwd=None):
+        """Sorted scipy modules loaded after running ``code`` in a fresh
+        interpreter that imports the package from this source tree."""
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
-        code = ("import sys, cornermass.cli; print(sorted(m for m in "
-                "('scipy.interpolate', 'scipy.optimize', "
-                "'scipy.sparse.linalg') if m in sys.modules))")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
+        code += ("\nimport json, sys\nprint(json.dumps(sorted(m for m in "
+                 "sys.modules if m.split('.')[0] == 'scipy')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        return json.loads(out.stdout.splitlines()[-1])
+
+    def test_cli_import_skips_interpolate_and_optimize(self):
+        assert self._loaded("import cornermass.cli") == []
+
+    def test_quasilocal_loads_no_scipy(self, tmp_path):
+        write(tmp_path, "q.cfg", """
+[run]
+scenario = schwarzschild
+[scenario]
+m = 1.0
+[quasilocal]
+r0 = 6.0
+hull_radii = 2.6 3.0 3.5
+""")
+        loaded = self._loaded(
+            "import cornermass.cli as c\n"
+            "assert c.main(['quasilocal', '--config', 'q.cfg', "
+            "'--out', 'q.json']) == 0", cwd=tmp_path)
+        assert loaded == []
+
+    def test_regress_skips_interpolate_and_optimize(self, tmp_path):
+        loaded = self._loaded(
+            "import cornermass.cli as c\n"
+            "assert c.main(['regress', '--out', 'r.json']) == 0",
+            cwd=tmp_path)
+        assert "scipy.sparse.linalg" in loaded
+        assert not [m for m in loaded if m.startswith(
+            ("scipy.interpolate", "scipy.optimize"))]
 
 
 class TestDeterminism:

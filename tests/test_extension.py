@@ -13,6 +13,8 @@ from cornermass.geometry import (RadialPatch, flat_metric_profile,
                                  schwarzschild_metric_profile)
 from cornermass.numgrid import ScalarProfile
 
+import oracles
+
 
 def zero(dom):
     return ScalarProfile.constant(0.0, dom)
@@ -37,8 +39,9 @@ class TestShiTamExtend:
 
     def test_ode_matches_closed_form(self):
         ext = shi_tam_extend(1.0, 3.0)
-        closed = 1.0 - (1.0 - ext.f_samples[0]) / ext.radii
-        assert np.max(np.abs(ext.f_samples - closed)) <= 1e-8
+        s, f = oracles.shi_tam_rk4(1.0, 3.0)
+        assert np.array_equal(ext.radii, np.exp(s))
+        assert np.max(np.abs(ext.f_samples - f)) <= 1e-8
 
     def test_scalar_flat_at_nodes(self):
         ext = shi_tam_extend(1.0, 3.0)

@@ -7,12 +7,6 @@ from cornermass.errors import BracketError, IntegrationDivergedError, \
 
 
 class TestScalarProfile:
-    def test_spline_reproduces_samples(self):
-        r = np.linspace(1.0, 5.0, 17)
-        v = np.sin(r)
-        prof = numgrid.ScalarProfile.from_samples(r, v)
-        assert np.allclose(prof.value(r), v, rtol=0, atol=0)
-
     def test_analytic_derivatives(self):
         prof = numgrid.ScalarProfile.from_callables(
             lambda r: r**3, lambda r: 3 * r**2, lambda r: 6 * r, (0, 10))
@@ -104,6 +98,45 @@ class TestFindRoot:
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
             numgrid.find_root(lambda r: 1.0, (1.0, 3.0))
+        with pytest.raises(BracketError, match=r"no sign change on "
+                           r"\[1.0, 3.0\]: f=-1,-3"):
+            numgrid.find_root(lambda r: -r, (1.0, 3.0))
+
+    @pytest.mark.parametrize("f, bracket, root", [
+        (np.cos, (0.0, 3.0), np.pi / 2),
+        (lambda x: x**3 - 2.0, (0.0, 2.0), 2.0 ** (1.0 / 3.0)),
+        # flat to 1e-100 over 1e-11 around the root: plain secant stalls
+        (lambda x: (x - 1.0) ** 9, (0.0, 3.0), 1.0),
+        (lambda x: (x - 1.0) ** 9, (1.7, -5.0), 1.0),
+    ])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
+    def test_within_tol(self, f, bracket, root, tol):
+        assert abs(numgrid.find_root(f, bracket, tol=tol) - root) <= tol
+
+    @pytest.mark.parametrize("f, root", [
+        (lambda x: (x - 1.0) ** 9, 1.0),
+        # regula falsi creeps up on a jump from the end with the small |f|
+        (lambda x: -1.0 if x < 0.3 else 1000.0, 0.3),
+        (lambda x: -1.0 if x < 0.7123456789 else 1000.0, 0.7123456789),
+    ])
+    def test_bisection_fallback(self, f, root):
+        # a step that fails to halve the bracket is followed by a
+        # bisection, so a width of 3 reaches 1e-12 within
+        # 2 * ceil(log2(3e12)) evaluations after the two end values;
+        # Illinois steps alone take 157 to 432 here
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        assert abs(numgrid.find_root(counted, (0.0, 3.0)) - root) <= 1e-12
+        assert len(calls) <= 2 + 2 * int(np.ceil(np.log2(3e12)))
+
+    def test_roots_at_bracket_ends(self):
+        assert numgrid.find_root(lambda x: x - 1.0, (1.0, 2.0)) == 1.0
+        assert numgrid.find_root(lambda x: x - 1.0, (0.0, 1.0)) == 1.0
+        assert numgrid.find_root(np.sin, (0.0, 1.0)) == 0.0
 
 
 def _flat_laplace_setup(n_r=16, n_theta=16, r_in=1.0, r_out=4.0):
