@@ -103,6 +103,30 @@ def _as_list(v):
     return v if isinstance(v, list) else [v]
 
 
+def _number(cfg, key, default=None, *, kind=float, many=False, ok=None,
+            need="a finite number", required=False):
+    """``cfg[key]`` (else ``default``) as a finite ``kind`` (int or float),
+    or as a list of them when ``many``.  A value of another type, or one
+    for which ``ok`` (given the converted value) is false, raises a
+    ConfigError naming the key and what it ``need``s."""
+    raw = _get(cfg, key, default, required)
+    if raw is None:
+        return None
+    vals = _as_list(raw) if many else [raw]
+    types = (int,) if kind is int else (int, float)
+    if not all(isinstance(v, types) and not isinstance(v, bool)
+               and math.isfinite(v) for v in vals):
+        raise ConfigError(f"{key} must be {need}, not {raw!r}", field=key)
+    value = [kind(v) for v in vals] if many else kind(raw)
+    if ok is not None and not ok(value):
+        raise ConfigError(f"{key} must be {need}, not {raw!r}", field=key)
+    return value
+
+
+def _positive(v):
+    return v > 0
+
+
 def _scenario_from_config(cfg):
     name = _get(cfg, "run.scenario", required=True)
     params = {}
@@ -191,8 +215,10 @@ def _write_csv(path, header, rows):
 
 def cmd_constraints(cfg, args):
     data = _scenario_from_config(cfg)
-    samples = int(_get(cfg, "run.samples", 96))
-    tol = float(_get(cfg, "run.dec_tolerance", 1e-8))
+    samples = _number(cfg, "run.samples", 96, kind=int,
+                      ok=lambda n: n >= 2, need="an integer >= 2")
+    tol = _number(cfg, "run.dec_tolerance", 1e-8, ok=lambda t: t >= 0,
+                  need="a number >= 0")
     per_patch = []
     ok = True
     for patch in data.patches:
@@ -216,51 +242,42 @@ def cmd_constraints(cfg, args):
     return reports, {"dec_ok": ok}, (0 if ok else 1)
 
 
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _massbound_run_keys(cfg, data):
     """The grid and asymptote keys of massbound, checked before any solve:
     (resolutions, n_theta, truncation, direction)."""
-    resolutions = _as_list(_get(cfg, "run.resolutions", [32, 64]))
-    if not all(_is_int(n) and n >= 8 for n in resolutions):
-        raise ConfigError("resolutions must be integers >= 8",
-                          field="run.resolutions")
-    if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
-        raise ConfigError("resolutions must be strictly increasing",
-                          field="run.resolutions")
-    n_theta = _get(cfg, "run.n_theta")
-    if n_theta is not None and not (_is_int(n_theta) and n_theta >= 8):
-        raise ConfigError("n_theta must be an integer >= 8",
-                          field="run.n_theta")
-    L = _get(cfg, "run.truncation", 30.0)
-    if not (isinstance(L, (int, float)) and not isinstance(L, bool)
-            and L > 0):
-        raise ConfigError("truncation must be a positive number",
-                          field="run.truncation")
+    resolutions = _number(
+        cfg, "run.resolutions", [32, 64], kind=int, many=True,
+        ok=lambda ns: min(ns) >= 8 and all(
+            b > a for a, b in zip(ns, ns[1:])),
+        need="strictly increasing integers >= 8")
+    n_theta = _number(cfg, "run.n_theta", kind=int, ok=lambda n: n >= 8,
+                      need="an integer >= 8")
+    L = _number(cfg, "run.truncation", 30.0, ok=_positive,
+                need="a positive number")
     try:    # the grid builder judges the truncation on its smallest grid
-        build_solver_grid(data, 8, 8, float(L), _get(cfg, "run.r_inner"))
+        build_solver_grid(data, 8, 8, L, _get(cfg, "run.r_inner"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"truncation {L!r}: {exc}", field="run.truncation")
-    direction = _get(cfg, "run.direction", 1)
-    if direction not in (1, -1) or isinstance(direction, bool):
-        raise ConfigError("direction must be 1 or -1 (the +z or -z "
-                          "asymptote)", field="run.direction")
-    return resolutions, n_theta, float(L), int(direction)
+    direction = _number(cfg, "run.direction", 1, kind=int,
+                        ok=lambda d: d in (1, -1),
+                        need="1 or -1 (the +z or -z asymptote)")
+    return resolutions, n_theta, L, direction
 
 
 def cmd_massbound(cfg, args):
     data = _scenario_from_config(cfg)
     resolutions, n_theta, L, direction = _massbound_run_keys(cfg, data)
-    delta = float(_get(cfg, "run.delta", 1e-2))
-    if delta <= 0 or float(_get(cfg, "run.picard_tol", 1e-9)) <= 0:
-        raise ConfigError("tolerances must be positive", field="run.delta")
-    radii = _as_list(_get(cfg, "run.adm_radii", [50.0, 100.0, 200.0]))
-    adm = masses.adm_energy_momentum(data, [float(r) for r in radii])
-    opts = SolveOptions(
-        delta=delta, direction=direction,
-        picard_tol=float(_get(cfg, "run.picard_tol", 1e-9)))
+    delta = _number(cfg, "run.delta", 1e-2, ok=_positive,
+                    need="a positive number")
+    picard_tol = _number(cfg, "run.picard_tol", 1e-9, ok=_positive,
+                         need="a positive number")
+    radii = _number(cfg, "run.adm_radii", [50.0, 100.0, 200.0], many=True,
+                    ok=lambda rs: len(rs) >= 2 and min(rs) > 0
+                    and rs == sorted(rs),
+                    need="an increasing list of two or more positive radii")
+    adm = masses.adm_energy_momentum(data, radii)
+    opts = SolveOptions(delta=delta, direction=direction,
+                        picard_tol=picard_tol)
     rep, finest = mass_bound_sweep(
         data, adm, resolutions=resolutions, n_theta=n_theta, L=L,
         r_inner=_get(cfg, "run.r_inner"), options=opts)
@@ -277,9 +294,10 @@ def cmd_massbound(cfg, args):
 
 def cmd_quasilocal(cfg, args):
     data = _scenario_from_config(cfg)
-    r0 = float(_get(cfg, "quasilocal.r0", required=True))
+    r0 = _number(cfg, "quasilocal.r0", ok=_positive,
+                 need="a positive radius", required=True)
     side = _get(cfg, "quasilocal.side", "auto")
-    omega_tan = float(_get(cfg, "quasilocal.omega_tan", 0.0))
+    omega_tan = _number(cfg, "quasilocal.omega_tan", 0.0)
     ql = masses.quasilocal(data, r0, side=side, omega_tan=omega_tan)
     reports = {"quasilocal": ql, "scenario": data.name}
     verdicts = {"W_nonnegative": ql.W >= -1e-12}
@@ -296,10 +314,10 @@ def cmd_quasilocal(cfg, args):
         }
         verdicts["chain_W_ge_E_ext"] = pipe.chain_ok
         verdicts["corner_jump_zero"] = abs(pipe.corner_jump) <= 1e-10
-    hull = _get(cfg, "quasilocal.hull_radii")
+    hull = _number(cfg, "quasilocal.hull_radii", many=True,
+                   ok=lambda rs: min(rs) > 0, need="positive radii")
     if hull is not None:
-        comp = masses.comparison_check(ql, data, [float(r) for r in
-                                                  _as_list(hull)])
+        comp = masses.comparison_check(ql, data, hull)
         reports["comparison"] = comp
         verdicts["comparison_applicable"] = comp.applicable
         verdicts["comparison_ok"] = comp.all_ok
@@ -313,14 +331,17 @@ def cmd_quasilocal(cfg, args):
 
 
 def cmd_certificate(cfg, args):
-    r0 = float(_get(cfg, "certificate.r0", 1.0))
-    H = _get(cfg, "certificate.H")
-    tr_alpha = float(_get(cfg, "certificate.tr_alpha", 0.0))
-    beta_abs = float(_get(cfg, "certificate.beta", 0.0))
-    sweep = _get(cfg, "certificate.h_eff_sweep")
+    r0 = _number(cfg, "certificate.r0", 1.0, ok=_positive,
+                 need="a positive radius")
+    H = _number(cfg, "certificate.H")
+    tr_alpha = _number(cfg, "certificate.tr_alpha", 0.0)
+    beta_abs = _number(cfg, "certificate.beta", 0.0)
+    sweep = _number(cfg, "certificate.h_eff_sweep", many=True,
+                    ok=lambda v: len(v) == 3 and v[2] == int(v[2]) >= 1,
+                    need="'lo hi n' with a count n >= 1")
     rows = []
     if sweep is not None:
-        lo, hi, n = [float(v) for v in _as_list(sweep)]
+        lo, hi, n = sweep
         values = np.linspace(lo, hi, int(n))
         for h_eff in values:
             v = extension.fillin_certificate(r0, float(h_eff) + np.hypot(
@@ -330,7 +351,7 @@ def cmd_certificate(cfg, args):
         if H is None:
             raise ConfigError("need certificate.H or certificate.h_eff_sweep",
                               field="certificate.H")
-        rows.append(extension.fillin_certificate(r0, float(H), tr_alpha,
+        rows.append(extension.fillin_certificate(r0, H, tr_alpha,
                                                  beta_abs))
     n_cert = sum(1 for v in rows if v.certified)
     reports = {"certificates": rows, "n_certified": n_cert,

@@ -22,7 +22,8 @@ class IntegrationDivergedError(CornerMassError):
 
 
 class SingularFactorError(CornerMassError):
-    """The sparse LU factorization of a linear operator found it singular."""
+    """Factoring a linear operator found it singular: a zero pivot, a
+    complex or defective angular spectrum."""
 
 
 class PicardStagnationError(CornerMassError):

@@ -350,10 +350,6 @@ class DeformationResult:
     solve_ok: bool
     min_deformed_R: float            # min of u^-4 (R + b) where b > 0
 
-    @property
-    def u_max(self):
-        return float(np.max(self.factor))
-
 
 def _b_source(data: GluedDataSet, r):
     """b = max(0, -2 mu) + K^2 from the constraint quantities at radius r."""

@@ -123,14 +123,6 @@ class NullExpansions:
     def weakly_outer_trapped(self):
         return self.theta_plus <= 0.0
 
-    @property
-    def weakly_inner_trapped(self):
-        return self.theta_minus <= 0.0
-
-    @property
-    def is_mots(self):
-        return self.theta_plus == 0.0
-
 
 @dataclass(frozen=True)
 class DecReport:

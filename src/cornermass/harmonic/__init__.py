@@ -2,7 +2,7 @@
 
 Submodules: ``fields`` (grid coefficients, sampled fields, spacetime
 Hessian), ``solver`` (Picard iteration of Delta u + K |grad u| = 0, each
-step one solve with the grid's sparse LU factor), ``massbound`` (both
+step one direct solve with the grid's separated factor), ``massbound`` (both
 sides of the mass inequality with corner terms), ``identities`` (the bulk
 integral identity and the boundary identity, checked term by term).
 """

@@ -221,11 +221,6 @@ class IntegralFormulaReport:
         return self.lhs + self.defect <= self.rhs + tol
 
 
-def _axis_crossings(u_axis, t):
-    d = u_axis - t
-    return int(np.sum(d[:-1] * d[1:] < 0))
-
-
 def integral_formula_check(data: GluedDataSet, field: AxisymField,
                            region: Tuple[Optional[float], float],
                            n_bins=300, crit_tol=1e-6) -> IntegralFormulaReport:

@@ -5,8 +5,12 @@ Each Picard step freezes the gradient norm and solves the linear problem
 
     Delta u = -K |grad u_prev|_delta
 
-directly: the grid's operator is assembled once as one sparse matrix,
-factored once (sparse LU) and every step is a single triangular solve.
+directly.  The grid's operator separates: every ring's row is a radial
+stencil plus 1/rho^2 times one angular matrix, so it is assembled once as
+per-ring radial coefficients and that angular matrix, and factored once
+(the angular eigenvectors, and one banded LU per radial mode, vectorised
+over the modes).  Every step is then two angular transforms around the
+banded solves, plus one refinement solve of the residual.
 Outer Dirichlet data is the truncated asymptote a * rho cos(theta); an
 inner sphere may carry a constant Dirichlet value (the trapped-boundary
 option, with the sign of the normal derivative reported afterwards, never
@@ -46,7 +50,7 @@ class SolveOptions:
 
 def _assemble_operator(coeffs: GridCoefficients,
                        inner_mode: str) -> EllipticOperator:
-    """Sparse operator for Delta u in conservation form, with its
+    """Separated operator for Delta u in conservation form, with its
     boundary, axis, corner and centre rows.
 
     Radial part (1/(sqrt(lam) rho^2)) d_s((rho^2/sqrt(lam)) u_s) and
@@ -55,110 +59,80 @@ def _assemble_operator(coeffs: GridCoefficients,
     rho_i rho_{i+1} / (lam_i lam_{i+1})^(1/4) and 1 - x_j x_{j+1}: both
     keep the flat asymptote rho cos(theta) an exact discrete solution on
     arbitrary node spacing while making every off-diagonal nonnegative
-    (M-matrix rows).  The other rows are:
+    (M-matrix rows).  A ring's row is its radial stencil plus
+    g_i = 1/rho_i^2 times one angular matrix shared by all rings.  The
+    other rows are:
 
     * the two axis columns, quadratic extrapolations of the next three
       interior columns;
-    * each corner ring, continuity of the radial flux u_s / sqrt(lam);
+    * each corner ring, continuity of the radial flux u_s / sqrt(lam),
+      reaching two rings to either side, with g = 0;
     * with a smooth centre, one extra unknown for the virtual r = 0 value
       (the inner neighbour of the innermost ring), defined by the
       x-averages of the first two rings as even in r;
-    * identity rows at the Dirichlet nodes.
+    * identity rows at the Dirichlet rings.
     """
-    from scipy.sparse import csc_matrix
-
     grid = coeffs.grid
     s, x = grid.r, grid.x
     N, M1 = s.size, x.size
-    cC = np.zeros((N, M1))
-    cE = np.zeros((N, M1))
-    cW = np.zeros((N, M1))
-    cN = np.zeros((N, M1))
-    cS = np.zeros((N, M1))
     fixed = np.zeros((N, M1), dtype=bool)
     fixed[N - 1, :] = True
     if inner_mode == "trapped_const":
         fixed[0, :] = True
+    radial = np.zeros((N, 5))            # rings i-2 .. i+2
+    g = np.zeros(N)
 
-    corner_set = set(coeffs.corner_indices)
     # angular flux form at the interior columns, per unit 1/rho^2
     Ce = 1.0 - x[1:-1] * x[2:]
     Cw = 1.0 - x[:-2] * x[1:-1]
     wgt_x = 0.5 * (x[2:] - x[:-2])
     an = Ce / ((x[2:] - x[1:-1]) * wgt_x)
     as_ = Cw / ((x[1:-1] - x[:-2]) * wgt_x)
+    J = np.arange(M1 - 2)
+    angular = np.zeros((M1 - 2, M1))
+    angular[J, J] = as_
+    angular[J, J + 1] = -(an + as_)
+    angular[J, J + 2] = an
 
     for (lo, hi) in coeffs.segments:
-        lam_seg = coeffs.lam[lo:hi + 1].copy()
-        rho_seg = coeffs.rho[lo:hi + 1].copy()
+        lam = coeffs.lam[lo:hi + 1].copy()
+        rho = coeffs.rho[lo:hi + 1].copy()
         if lo in coeffs.corner_plus:
-            lam_seg[0] = coeffs.corner_plus[lo]["lam"]
-            rho_seg[0] = coeffs.corner_plus[lo]["rho"]
-        for i in range(lo, hi + 1):
-            if i in corner_set:
-                continue  # flux-continuity row below
-            if i == N - 1 or (i == 0 and inner_mode == "trapped_const"):
-                continue
-            k = i - lo
-            if i == 0:
-                # smooth centre: collocation against the r = 0 unknown
-                z = np.array([0.0, s[0], s[1]])
-                w1 = stencil_d1(*z)[1]
-                w2 = stencil_d2(*z)
-                A = 1.0 / lam_seg[k]
-                B = (2.0 * coeffs.rhop[i] / (lam_seg[k] * rho_seg[k])
-                     - coeffs.lamp[i] / (2.0 * lam_seg[k] ** 2))
-                cW[i, :] += A * w2[0] + B * w1[0]
-                cC[i, :] += A * w2[1] + B * w1[1]
-                cE[i, :] += A * w2[2] + B * w1[2]
-            else:
-                fe = (lam_seg[k] * lam_seg[k + 1]) ** -0.25
-                fw = (lam_seg[k - 1] * lam_seg[k]) ** -0.25
-                ce_face = rho_seg[k] * rho_seg[k + 1] * fe
-                cw_face = rho_seg[k - 1] * rho_seg[k] * fw
-                wgt = 0.5 * (s[i + 1] - s[i - 1])
-                pref = 1.0 / (np.sqrt(lam_seg[k]) * rho_seg[k] ** 2)
-                ae = pref * ce_face / ((s[i + 1] - s[i]) * wgt)
-                aw = pref * cw_face / ((s[i] - s[i - 1]) * wgt)
-                cE[i, :] += ae
-                cW[i, :] += aw
-                cC[i, :] -= ae + aw
-            xr = 1.0 / (rho_seg[k] ** 2)
-            cN[i, 1:-1] += xr * an
-            cS[i, 1:-1] += xr * as_
-            cC[i, 1:-1] -= xr * (an + as_)
+            lam[0] = coeffs.corner_plus[lo]["lam"]
+            rho[0] = coeffs.corner_plus[lo]["rho"]
+        # rings strictly inside the segment; its ends are corners, the
+        # outer Dirichlet ring or ring 0
+        k = np.arange(1, hi - lo)
+        i = lo + k
+        face = rho[:-1] * rho[1:] * (lam[:-1] * lam[1:]) ** -0.25
+        wgt = 0.5 * (s[i + 1] - s[i - 1])
+        pref = 1.0 / (np.sqrt(lam[k]) * rho[k] ** 2)
+        ae = pref * face[k] / ((s[i + 1] - s[i]) * wgt)
+        aw = pref * face[k - 1] / ((s[i] - s[i - 1]) * wgt)
+        radial[i, 1] = aw
+        radial[i, 2] = -(ae + aw)
+        radial[i, 3] = ae
+        g[i] = 1.0 / rho[k] ** 2
 
-    idx = np.arange(N * M1).reshape(N, M1)
-    n_unknowns = N * M1 + (1 if inner_mode == "center" else 0)
-    rows, cols, vals = [], [], []
-
-    def put(row, col, val):
-        row, col, val = np.broadcast_arrays(row, col, val)
-        rows.append(row.ravel())
-        cols.append(col.ravel())
-        vals.append(val.ravel())
-
-    free = [i for i in range(N) if not fixed[i].all()]
-    rings = np.array([i for i in free if i not in corner_set])
-    J = np.arange(1, M1 - 1)
-    ii, jj = rings[:, None], J[None, :]
-    source_rows = np.zeros((N, M1), dtype=bool)
-    source_rows[ii, jj] = True
-    put(idx[ii, jj], idx[ii, jj], cC[ii, jj])
-    put(idx[ii, jj], idx[ii + 1, jj], cE[ii, jj])
-    put(idx[ii, jj], idx[ii, jj + 1], cN[ii, jj])
-    put(idx[ii, jj], idx[ii, jj - 1], cS[ii, jj])
-    inner = rings[rings > 0][:, None]
-    put(idx[inner, jj], idx[inner - 1, jj], cW[inner, jj])
+    centre = None
     if inner_mode == "center":
-        put(idx[0, J], N * M1, cW[0, J])
+        # smooth centre: collocation of ring 0 against the r = 0 unknown
+        z = np.array([0.0, s[0], s[1]])
+        w1 = stencil_d1(*z)[1]
+        w2 = stencil_d2(*z)
+        lam0, rho0 = coeffs.lam[0], coeffs.rho[0]
+        A = 1.0 / lam0
+        B = (2.0 * coeffs.rhop[0] / (lam0 * rho0)
+             - coeffs.lamp[0] / (2.0 * lam0 ** 2))
+        radial[0, 2] = A * w2[1] + B * w1[1]
+        radial[0, 3] = A * w2[2] + B * w1[2]
+        g[0] = 1.0 / rho0 ** 2
         wm = grid.x_weights()
         wm = wm / np.sum(wm)
         r1, r2 = s[0], s[1]
         den = r2 * r2 - r1 * r1
-        put(N * M1, N * M1, 1.0)
-        put(N * M1, idx[0], -(r2 * r2 / den) * wm)
-        put(N * M1, idx[1], (r1 * r1 / den) * wm)
+        centre = (A * w2[0] + B * w1[0], -(r2 * r2 / den) * wm,
+                  (r1 * r1 / den) * wm)
 
     # corner rings: continuity of the radial flux u_s / sqrt(lam), with
     # the one-sided first-derivative rows of the field derivatives
@@ -168,24 +142,15 @@ def _assemble_operator(coeffs: GridCoefficients,
         wR = d_r_plus.w[k]
         sfL = 1.0 / coeffs.sqlam[i]
         sfR = 1.0 / np.sqrt(coeffs.corner_plus[i]["lam"])
-        coefs = (sfL * wL[0], sfL * wL[1], sfL * wL[2] - sfR * wR[0],
-                 -sfR * wR[1], -sfR * wR[2])
-        for o, c in zip(range(-2, 3), coefs):
-            put(idx[i, J], idx[i + o, J], c)
+        radial[i] = (sfL * wL[0], sfL * wL[1], sfL * wL[2] - sfR * wR[0],
+                     -sfR * wR[1], -sfR * wR[2])
 
-    w_n = lagrange_weights(x[1:4], x[0])
-    w_s = lagrange_weights(x[-4:-1], x[-1])
-    for i in free:
-        put(idx[i, 0], idx[i, 0], 1.0)
-        put(idx[i, 0], idx[i, 1:4], -w_n)
-        put(idx[i, -1], idx[i, -1], 1.0)
-        put(idx[i, -1], idx[i, -4:-1], -w_s)
-    put(idx[fixed], idx[fixed], 1.0)
-
-    matrix = csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_unknowns, n_unknowns))
-    return EllipticOperator(matrix, fixed, source_rows)
+    source_rows = np.zeros((N, M1), dtype=bool)
+    source_rows[:, 1:-1] = (~fixed[:, 0])[:, None]
+    source_rows[coeffs.corner_indices, :] = False
+    axis = (lagrange_weights(x[1:4], x[0]), lagrange_weights(x[-4:-1], x[-1]))
+    return EllipticOperator(radial, g, angular, axis, fixed, source_rows,
+                            centre)
 
 
 def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
@@ -276,7 +241,8 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
         # over all Picard steps; residual is the largest max|A u - b|
         "linear": {"factorizations": operator.factorizations,
                    "solves": len(picard_changes),
-                   "factor_nnz": operator.factor_nnz,
+                   "factor_floats": operator.factor_floats,
+                   "eigvec_cond": operator.eigvec_cond,
                    "residual": residual},
         "max_principle_violation": mp_violation,
         "inner_mode": inner_mode,

@@ -200,24 +200,12 @@ def minimal_sphere(data: GluedDataSet) -> Optional[MinimalSphere]:
     around; the root of dr/ds is the minimal sphere.
     """
     br = minimal_sphere_bracket(data)
-    if br is not None:
-        s = find_root(data.chart.dr_ds, br)
-        r_areal = float(data.chart.r_of_s(s))
-        return MinimalSphere(coordinate=float(s), areal_radius=r_areal,
-                             area=float(4.0 * np.pi * r_areal ** 2))
-    # scan the areal patches for a sign change of H (none when f > 0)
-    for patch in reversed(data.patches):
-        lo = max(patch.r_in, 1e-6 * patch.r_out)
-        rs = np.linspace(lo, patch.r_out, 512)
-        h = 2.0 * np.sqrt(patch.fv(rs)) / rs
-        flips = np.nonzero(h[:-1] * h[1:] < 0)[0]
-        if flips.size:
-            i = int(flips[-1])
-            r = find_root(lambda rr: 2.0 * np.sqrt(patch.fv(rr)) / rr,
-                          (rs[i], rs[i + 1]))
-            return MinimalSphere(coordinate=float(r), areal_radius=float(r),
-                                 area=float(4.0 * np.pi * r * r))
-    return None
+    if br is None:
+        return None
+    s = find_root(data.chart.dr_ds, br)
+    r_areal = float(data.chart.r_of_s(s))
+    return MinimalSphere(coordinate=float(s), areal_radius=r_areal,
+                         area=float(4.0 * np.pi * r_areal ** 2))
 
 
 # ---------------------------------------------------------------------------

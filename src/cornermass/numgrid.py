@@ -1,13 +1,13 @@
 """Deterministic numerical kernel: radial profiles, axisymmetric grids,
-quadrature, an explicit ODE integrator, a direct (sparse LU) elliptic
-solve, a bracketed root finder and Richardson extrapolation.
+quadrature, an explicit ODE integrator, a direct elliptic solve by
+separation of variables, a bracketed root finder and Richardson
+extrapolation.
 
 Everything in this module is a pure function of its inputs; no global state,
 no randomness.  Identical inputs produce identical outputs across runs.  The
-one cache, an elliptic operator's LU factor, depends only on the operator.
-The only scipy module used here, scipy.sparse.linalg, is imported by the
-one function that factors an operator, so importing the package loads no
-scipy and commands that solve no elliptic problem never do.
+one cache, an elliptic operator's factor (the angular eigenvectors and one
+banded LU per radial mode), depends only on the operator.  numpy is the
+only dependency.
 
 Conventions
 -----------
@@ -216,24 +216,6 @@ class AxisymGrid:
         w[1:-1] = 0.5 * (x[:-2] - x[2:])
         return w
 
-    def r_weights(self, breaks=()):
-        """Composite trapezoid weights in r, split at interior break radii."""
-        r = self.r
-        w = np.zeros_like(r)
-        pts = [r[0]] + sorted(b for b in breaks if r[0] < b < r[-1]) + [r[-1]]
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            i0 = int(np.searchsorted(r, lo - 1e-12 * max(1, abs(lo))))
-            i1 = int(np.searchsorted(r, hi - 1e-12 * max(1, abs(hi))))
-            seg = r[i0:i1 + 1]
-            if seg.size < 2:
-                continue
-            dw = np.zeros(seg.size)
-            dr = np.diff(seg)
-            dw[:-1] += 0.5 * dr
-            dw[1:] += 0.5 * dr
-            w[i0:i1 + 1] += dw
-        return w
-
 
 def gauss_x_nodes(n=64):
     """Gauss-Legendre nodes/weights on x in [-1, 1] (sphere polar measure)."""
@@ -260,10 +242,6 @@ class ConvergenceReport:
     observed_order: float
     assumed_order: float
     degenerate: bool = False
-
-    @property
-    def error_estimate(self):
-        return abs(self.extrapolated - self.fine)
 
 
 def richardson(coarse, fine, p, third_coarsest=None):
@@ -414,52 +392,274 @@ def find_root(f, bracket, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# Linear elliptic solve (one sparse LU per operator)
+# Linear elliptic solve (separation of variables, factored once per operator)
 # ---------------------------------------------------------------------------
 
+# a pivot no larger than this fraction of its row's largest coefficient
+# (or not finite) is a zero pivot
+_PIVOT_TOL = 1e-13
+
+
+def band_lu(lower2, lower1, diag, upper1, upper2):
+    """LU factor, without pivoting, of K pentadiagonal systems of n rows
+    that differ only in their diagonal: ``diag`` is (n, K), one column per
+    system, and the off-diagonals at offsets -2, -1, +1, +2 are (n,)
+    arrays indexed by row (entries that would leave the matrix are zero).
+
+    Eliminates row by row with whole-array operations over the systems.
+    Returns (l2, l1, u1, rpiv), each (n, K): the multipliers of rows i - 2
+    and i - 1, U's first superdiagonal and the reciprocal pivots (U's
+    second superdiagonal is ``upper2`` itself).  Raises
+    SingularFactorError at the first zero pivot.
+    """
+    n, K = diag.shape
+    l2, l1 = np.zeros((n, K)), np.zeros((n, K))
+    u1, piv = np.empty((n, K)), np.empty((n, K))
+    off = np.max(np.abs([lower2, lower1, upper1, upper2]), axis=0)
+    for i in range(n):
+        a1, d, c1 = lower1[i], diag[i], upper1[i]
+        if lower2[i] != 0.0:
+            l2[i] = lower2[i] / piv[i - 2]
+            a1 = a1 - l2[i] * u1[i - 2]
+            d = d - l2[i] * upper2[i - 2]
+        if i:
+            l1[i] = a1 / piv[i - 1]
+            d = d - l1[i] * u1[i - 1]
+            c1 = c1 - l1[i] * upper2[i - 1]
+        scale = np.maximum(off[i], np.abs(diag[i]))
+        if not np.all(np.abs(d) > _PIVOT_TOL * scale):
+            raise SingularFactorError(
+                f"zero pivot in row {i} of the radial mode systems")
+        piv[i], u1[i] = d, c1
+    return l2, l1, u1, 1.0 / piv
+
+
+def band_solve(factor, lower2, upper2, rhs):
+    """Solve the systems of ``band_lu``'s factor (of a matrix with outer
+    diagonals ``lower2`` and ``upper2``) for the (n, K) right-hand sides
+    ``rhs``, one column per system."""
+    l2, l1, u1, rpiv = factor
+    y = np.array(rhs, dtype=float)
+    n = y.shape[0]
+    for i in range(1, n):
+        y[i] -= l1[i] * y[i - 1]
+        if lower2[i] != 0.0:
+            y[i] -= l2[i] * y[i - 2]
+    y[n - 1] *= rpiv[n - 1]
+    for i in range(n - 2, -1, -1):
+        y[i] -= u1[i] * y[i + 1]
+        if upper2[i] != 0.0:
+            y[i] -= upper2[i] * y[i + 2]
+        y[i] *= rpiv[i]
+    return y
+
+
+class ModeFactor:
+    """The factor of a separated operator: the eigenvectors V of the
+    reduced angular matrix and V^-1, ``band_lu``'s factor of every radial
+    mode system (with the outer diagonals ``lower2`` and ``upper2``) and,
+    with a centre unknown, ``centre`` = (the mode solution for a unit
+    centre value, the centre row on rings 0 and 1 in modes, the bordered
+    system's Schur complement).  ``floats`` counts the float64 values it
+    holds; ``eigvec_cond`` is cond(V)."""
+
+    def __init__(self, V, Vinv, band, lower2, upper2, centre=None):
+        self.V, self.Vinv, self.band = V, Vinv, band
+        self.lower2, self.upper2, self.centre = lower2, upper2, centre
+        arrays = [V, Vinv, lower2, upper2, *band]
+        if centre is not None:
+            arrays += centre[:3]
+        self.floats = int(sum(a.size for a in arrays))
+        self.eigvec_cond = float(np.linalg.cond(V))
+
+
 class EllipticOperator:
-    """The linear system A v = b of one axisymmetric grid, factored once.
+    """The linear system A v = b of one axisymmetric grid, in separated
+    form, factored once.
 
     The unknowns v are the (N, M+1) node values in row-major order,
-    followed by any extra unknowns the operator couples in (a centre
-    value).  The right-hand side holds the source at the ``source_rows``
-    nodes, the Dirichlet value at the ``fixed`` nodes and zero at every
-    other row (axis extrapolation, corner continuity, centre definition).
-    The sparse LU factor is computed on the first solve and reused by
-    every later one; it is the only state the operator keeps.
+    followed by the centre value c when ``centre`` is given.  Every ring
+    is either fixed (``fixed``, whole rings at the ends) or free.  Rows:
+
+    * at a fixed node, the identity (the Dirichlet value);
+    * at the interior columns j = 1..M-1 of a free ring i,
+      sum_o radial[i, o + 2] u[i + o, j] + ring_scale[i] (angular @ u[i])
+      [j - 1], plus coupling * c on ring 0 with centre = (coupling, w0, w1);
+    * at the axis columns of a free ring, u[i, 0] - axis_weights[0] .
+      u[i, 1:4] and u[i, M] - axis_weights[1] . u[i, M-3:M];
+    * the centre row, c + w0 . u[0] + w1 . u[1].
+
+    ``radial`` is (N, 5), ``angular`` (M-1, M+1).  The right-hand side
+    holds the source at ``source_rows``, the Dirichlet value at the fixed
+    nodes and zero elsewhere (``rhs``).
+
+    The angular matrix is the same on every ring, so with the axis rows
+    eliminated it becomes one (M-1) x (M-1) matrix X = V diag(lam) V^-1:
+    in the modes w_i = V^-1 u[i, 1:-1] the system splits into one
+    pentadiagonal radial system radial + lam_k diag(ring_scale) per mode,
+    and the centre unknown is eliminated by bordering.  The factor is
+    computed on the first solve and reused by every later one; it is the
+    only state the operator keeps.
     """
 
-    def __init__(self, matrix, fixed, source_rows):
-        self.matrix = matrix.tocsc()
+    def __init__(self, radial, ring_scale, angular, axis_weights, fixed,
+                 source_rows, centre=None):
+        self.radial = np.asarray(radial, dtype=float)
+        self.ring_scale = np.asarray(ring_scale, dtype=float)
+        self.angular = np.asarray(angular, dtype=float)
+        self.axis_weights = tuple(np.asarray(w, dtype=float)
+                                  for w in axis_weights)
         self.fixed = np.asarray(fixed, dtype=bool)
         self.source_rows = np.asarray(source_rows, dtype=bool)
+        self.centre = centre
+        rings = self.fixed.all(axis=1)
+        free = np.flatnonzero(~rings)
+        if (self.fixed.any(axis=1) != rings).any() or free.size < 3 or \
+                free[-1] - free[0] + 1 != free.size:
+            raise ValueError("fixed nodes must be whole rings at the ends")
+        if centre is not None and free[0] != 0:
+            raise ValueError("a centre unknown needs a free ring 0")
+        self._free = slice(int(free[0]), int(free[-1]) + 1)
         self.factorizations = 0
-        self._lu = None
-
-    def factor(self):
-        """The sparse LU factor, computed on the first call."""
-        if self._lu is None:
-            from scipy.sparse.linalg import splu
-            try:
-                # minimum-degree ordering on A^T A with unit supernode
-                # relaxation and panels: on the 129^2 schwarzschild grid
-                # L + U hold 1.11M entries against 1.33M with the default
-                # COLAMD, which keeps that run's peak memory below SOR's
-                self._lu = splu(self.matrix, permc_spec="MMD_ATA", relax=1,
-                                panel_size=1)
-            except RuntimeError as exc:
-                raise SingularFactorError(
-                    f"sparse LU of the {self.matrix.shape[0]}-unknown "
-                    f"operator failed: {exc}") from exc
-            self.factorizations += 1
-        return self._lu
+        self._factor = None
 
     @property
-    def factor_nnz(self):
-        """Nonzeros stored in the L and U factors (0 before the first
-        solve), as SuperLU counts them: reading ``lu.L`` and ``lu.U``
-        instead would copy both factors."""
-        return 0 if self._lu is None else int(self._lu.nnz)
+    def n_unknowns(self):
+        return self.fixed.size + (self.centre is not None)
+
+    # -- the operator, matrix-free ---------------------------------------
+
+    def _ring_rows(self, u):
+        """Radial plus angular rows at the interior columns of every ring
+        (the centre term left out); (N, M-1)."""
+        N = u.shape[0]
+        pad = np.zeros((N + 4, u.shape[1] - 2))
+        pad[2:-2] = u[:, 1:-1]
+        out = self.ring_scale[:, None] * (u @ self.angular.T)
+        for o in range(5):
+            out += self.radial[:, o, None] * pad[o:o + N]
+        return out
+
+    def apply(self, v):
+        """A v for a vector of ``n_unknowns`` values."""
+        v = np.asarray(v, dtype=float)
+        u = v[:self.fixed.size].reshape(self.fixed.shape)
+        out = v.copy()                   # the identity rows
+        Au = out[:self.fixed.size].reshape(self.fixed.shape)
+        free = self._free
+        w_n, w_s = self.axis_weights
+        Au[free, 1:-1] = self._ring_rows(u)[free]
+        Au[free, 0] -= u[free, 1:4] @ w_n
+        Au[free, -1] -= u[free, -4:-1] @ w_s
+        if self.centre is not None:
+            coupling, w0, w1 = self.centre
+            Au[0, 1:-1] += coupling * v[-1]
+            out[-1] += w0 @ u[0] + w1 @ u[1]
+        return out
+
+    def rhs(self, source, boundary_values):
+        """b: the source at the source rows, the Dirichlet values at the
+        fixed nodes, zero elsewhere."""
+        b = np.zeros(self.n_unknowns)
+        nodes = b[:self.fixed.size].reshape(self.fixed.shape)
+        rows, fixed = self.source_rows, self.fixed
+        nodes[rows] = np.asarray(source, dtype=float)[rows]
+        nodes[fixed] = np.asarray(boundary_values, dtype=float)[fixed]
+        return b
+
+    # -- the factor and the direct solve ---------------------------------
+
+    def factor(self) -> ModeFactor:
+        """The operator's factor, computed on the first call."""
+        if self._factor is None:
+            self._factor = self._build_factor()
+            self.factorizations += 1
+        return self._factor
+
+    def _build_factor(self):
+        X, (w_n, w_s) = self.angular, self.axis_weights
+        Xr = X[:, 1:-1].copy()               # axis rows eliminated
+        Xr[:, :3] += np.outer(X[:, 0], w_n)
+        Xr[:, -3:] += np.outer(X[:, -1], w_s)
+        lam, V = np.linalg.eig(Xr)
+        if np.iscomplexobj(lam):
+            raise SingularFactorError(
+                "the reduced angular matrix has a complex spectrum")
+        try:
+            Vinv = np.linalg.inv(V)
+        except np.linalg.LinAlgError as exc:
+            raise SingularFactorError(
+                f"the reduced angular matrix is defective: {exc}") from exc
+        R = self.radial[self._free].copy()
+        # couplings to the fixed rings move to the right-hand side
+        R[0, :2] = R[1, 0] = R[-1, 3:] = R[-2, 4] = 0.0
+        g = self.ring_scale[self._free]
+        band = band_lu(R[:, 0], R[:, 1], R[:, 2, None] + g[:, None] * lam,
+                       R[:, 3], R[:, 4])
+        if self.centre is None:
+            return ModeFactor(V, Vinv, band, R[:, 0], R[:, 4])
+        coupling, w0, w1 = self.centre
+        unit = np.zeros((R.shape[0], V.shape[0]))
+        unit[0] = coupling * Vinv.sum(axis=1)
+        z = band_solve(band, R[:, 0], R[:, 4], unit)
+        # the centre row on the interior columns: the axis values are
+        # the extrapolations of the next three columns
+        modes = []
+        for w in (w0, w1):
+            wi = w[1:-1].copy()
+            wi[:3] += w[0] * w_n
+            wi[-3:] += w[-1] * w_s
+            modes.append(V.T @ wi)
+        pivot = 1.0 - (modes[0] @ z[0] + modes[1] @ z[1])
+        scale = 1.0 + abs(modes[0] @ z[0]) + abs(modes[1] @ z[1])
+        if not abs(pivot) > _PIVOT_TOL * scale:
+            raise SingularFactorError(
+                "zero pivot in the centre row of the bordered system")
+        return ModeFactor(V, Vinv, band, R[:, 0], R[:, 4],
+                          (z, *modes, float(pivot)))
+
+    def solve(self, b):
+        """The v with A v = b, by the factor: V^-1 along the angular
+        index, one banded solve per mode, the centre by bordering, V
+        back.  The fixed nodes are copied from b."""
+        f = self.factor()
+        b = np.asarray(b, dtype=float)
+        shape, free = self.fixed.shape, self._free
+        nodes = b[:self.fixed.size].reshape(shape)
+        # the known values: Dirichlet rings and the axis rows' b
+        u = np.zeros(shape)
+        u[self.fixed] = nodes[self.fixed]
+        u[free, 0], u[free, -1] = nodes[free, 0], nodes[free, -1]
+        rhs = nodes[free, 1:-1] - self._ring_rows(u)[free]
+        w = band_solve(f.band, f.lower2, f.upper2, rhs @ f.Vinv.T)
+        v = np.empty(self.n_unknowns)
+        if self.centre is not None:
+            _, w0, w1 = self.centre
+            z, m0, m1, pivot = f.centre
+            c = (b[-1] - w0 @ u[0] - w1 @ u[1] - m0 @ w[0] - m1 @ w[1]) \
+                / pivot
+            w -= c * z
+            v[-1] = c
+        inner = w @ f.V.T
+        w_n, w_s = self.axis_weights
+        u[free, 1:-1] = inner
+        u[free, 0] += inner[:, :3] @ w_n
+        u[free, -1] += inner[:, -3:] @ w_s
+        v[:self.fixed.size] = u.ravel()
+        return v
+
+    @property
+    def factor_floats(self):
+        """float64 values the factor holds (0 before the first solve)."""
+        return 0 if self._factor is None else self._factor.floats
+
+    @property
+    def eigvec_cond(self):
+        """cond(V) of the angular eigenvectors (NaN before the first
+        solve), the factor by which the transforms can amplify
+        rounding."""
+        return float("nan") if self._factor is None \
+            else self._factor.eigvec_cond
 
 
 def solve_linear_elliptic(operator: EllipticOperator, source,
@@ -468,17 +668,17 @@ def solve_linear_elliptic(operator: EllipticOperator, source,
 
     ``source`` holds the right-hand side at the stencil nodes and
     ``boundary_values`` the Dirichlet values at ``operator.fixed``; both
-    are (N, M+1).  Returns (u, info) with 'residual' = max|A v - b| and
+    are (N, M+1).  One step of iterative refinement follows the solve:
+    the transforms by V amplify rounding by up to cond(V) in the rows
+    with the largest coefficients (the innermost rings), and a second
+    solve, of the residual, removes that (on hyperbolic_negschw at n = 48
+    the largest residual falls from 9.5e-9 to 4.6e-10).  Returns (u, info)
+    with 'residual' = max|A v - b| from the matrix-free ``apply`` and
     'sweeps' = 0 (a direct solve does no relaxation sweeps).
     """
-    fixed = operator.fixed
-    n_nodes = fixed.size
-    b = np.zeros(operator.matrix.shape[0])
-    nodes = b[:n_nodes].reshape(fixed.shape)     # a view: writes fill b
-    rows = operator.source_rows
-    nodes[rows] = np.asarray(source, dtype=float)[rows]
-    nodes[fixed] = np.asarray(boundary_values, dtype=float)[fixed]
-    v = operator.factor().solve(b)
-    residual = float(np.max(np.abs(operator.matrix @ v - b)))
-    u = v[:n_nodes].reshape(fixed.shape)
+    b = operator.rhs(source, boundary_values)
+    v = operator.solve(b)
+    v += operator.solve(b - operator.apply(v))
+    residual = float(np.max(np.abs(operator.apply(v) - b)))
+    u = v[:operator.fixed.size].reshape(operator.fixed.shape)
     return u, {"sweeps": 0, "residual": residual}

@@ -12,6 +12,11 @@ tables must match them exactly.
 
 ``shi_tam_rk4`` integrates the scalar-flat extension ODE by RK4, the
 oracle of the closed-form profile of ``cornermass.extension``.
+
+``dense_elliptic_solve`` is the oracle of the separated direct solve of
+``cornermass.numgrid``: it builds the operator's dense matrix column by
+column from the matrix-free ``apply`` and solves it by Gaussian
+elimination with partial pivoting.
 """
 
 import numpy as np
@@ -208,3 +213,14 @@ def shi_tam_rk4(r0, h_eff, span=1000.0, n_steps=4000):
     s, ys = integrate_ode(lambda s, y: 1.0 - y, [f0], (0.0, np.log(span)),
                           np.log(span) / n_steps)
     return s, ys[:, 0]
+
+
+def dense_elliptic_solve(operator, source, boundary_values):
+    """(v, A, b): the solution of A v = b by ``numpy.linalg.solve``, where
+    A is the dense matrix whose column k is ``operator.apply(e_k)`` and b
+    is ``operator.rhs(source, boundary_values)``; v includes any centre
+    unknown after the node values."""
+    A = np.stack([operator.apply(e) for e in np.eye(operator.n_unknowns)],
+                 axis=1)
+    b = operator.rhs(source, boundary_values)
+    return np.linalg.solve(A, b), A, b

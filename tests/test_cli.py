@@ -88,6 +88,21 @@ r0 = 2.0
         assert cli.main(["massbound", "--config", path]) == 2
 
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("constraints", "samples", "x"),
+        ("constraints", "samples", "0"),
+        ("massbound", "delta", "abc"),
+        ("massbound", "adm_radii", "-5"),
+    ], ids=["samples_type", "samples_zero", "delta_type", "adm_radii"])
+    def test_typed_run_keys_exit_2(self, tmp_path, capsys, command, key,
+                                   value):
+        path = write(tmp_path, "t.cfg", "[run]\nscenario = hyperbolic_negschw"
+                     f"\nresolutions = 16\n{key} = {value}\n")
+        assert cli.main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"run.{key}" in err
+
+
 class TestCommands:
     def test_constraints_flat(self, tmp_path, capsys):
         path = write(tmp_path, "c.cfg", "[run]\nscenario = flat\n")
@@ -135,7 +150,8 @@ truncation = 15.0
         diag = out["reports"]["massbound"]["diagnostics"]
         assert diag["linear"]["factorizations"] == 1
         assert diag["linear"]["solves"] == len(diag["picard_changes"])
-        assert diag["linear"]["factor_nnz"] > 0
+        assert diag["linear"]["factor_floats"] > 0
+        assert diag["linear"]["eigvec_cond"] >= 1.0
         assert 0 <= diag["linear"]["residual"] <= 1e-8
 
     def test_massbound_csv_is_the_finest_field(self, tmp_path, capsys):
@@ -217,12 +233,16 @@ H = -3.0
         assert rc == 3
 
     def test_singular_factor_exits_3(self, tmp_path, capsys, monkeypatch):
-        import scipy.sparse.linalg
+        from cornermass import numgrid
+        band_lu = numgrid.band_lu
 
-        def singular(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
+        def singular(lower2, lower1, diag, upper1, upper2):
+            # a zeroed radial mode: its first pivot is zero
+            diag = diag.copy()
+            diag[:, 0] = 0.0
+            return band_lu(lower2, lower1, diag, upper1, upper2)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        monkeypatch.setattr(numgrid, "band_lu", singular)
         path = write(tmp_path, "m.cfg", """
 [run]
 scenario = flat
@@ -269,13 +289,25 @@ hull_radii = 2.6 3.0 3.5
         assert loaded == []
 
     def test_regress_skips_interpolate_and_optimize(self, tmp_path):
+        # since the separable solve, regress loads no scipy module at all
         loaded = self._loaded(
             "import cornermass.cli as c\n"
             "assert c.main(['regress', '--out', 'r.json']) == 0",
             cwd=tmp_path)
-        assert "scipy.sparse.linalg" in loaded
-        assert not [m for m in loaded if m.startswith(
-            ("scipy.interpolate", "scipy.optimize"))]
+        assert loaded == []
+
+    def test_massbound_loads_no_scipy(self, tmp_path):
+        write(tmp_path, "m.cfg", """
+[run]
+scenario = hyperbolic_negschw
+resolutions = 32 48
+truncation = 30
+""")
+        loaded = self._loaded(
+            "import cornermass.cli as c\n"
+            "assert c.main(['massbound', '--config', 'm.cfg', "
+            "'--out', 'm.json']) == 0", cwd=tmp_path)
+        assert loaded == []
 
 
 class TestDeterminism:

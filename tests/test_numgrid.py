@@ -190,34 +190,118 @@ class TestEllipticSolver:
                 op, np.zeros_like(boundary), scale * boundary)
             assert np.max(np.abs(u - scale * boundary)) < 1e-8
         assert op.factorizations == 1
-        assert op.factor_nnz >= op.matrix.nnz
+        # the factor holds V and V^-1 (K^2 each, K = M - 1 angular modes),
+        # band_lu's four (n, K) arrays for the n free rings and the two
+        # outer diagonals: O(N M + M^2), no fill beyond the band
+        n, K = grid.n_r - 2, grid.n_theta - 2
+        assert op.factor_floats == 2 * K * K + 4 * n * K + 2 * n
+        assert op.eigvec_cond >= 1.0
 
     def test_singular_operator_raises(self):
         grid, op = _flat_laplace_setup(n_r=8, n_theta=8)
-        # drop one interior node's equation: the system is then singular
-        A = op.matrix.tolil()
-        A[4 * grid.n_theta + 4, :] = 0.0
-        singular = numgrid.EllipticOperator(A, op.fixed, op.source_rows)
-        dense = singular.matrix.toarray()
+        # zero one interior ring's equations: the system is then singular
+        op.radial[4] = 0.0
+        op.ring_scale[4] = 0.0
+        dense = np.stack([op.apply(e) for e in np.eye(op.n_unknowns)],
+                         axis=1)
         assert np.linalg.matrix_rank(dense) < dense.shape[0]
         boundary = np.outer(grid.r, grid.x)
         with pytest.raises(SingularFactorError):
             numgrid.solve_linear_elliptic(
-                singular, np.zeros_like(boundary), boundary)
-        assert singular.factorizations == 0
+                op, np.zeros_like(boundary), boundary)
+        assert op.factorizations == 0
+
+    def test_complex_angular_spectrum_raises(self):
+        grid, op = _flat_laplace_setup(n_r=8, n_theta=8)
+        # a skew angular difference has an imaginary spectrum: the modes
+        # would not be real, so the operator does not separate over R
+        J = np.arange(op.angular.shape[0])
+        op.angular[:] = 0.0
+        op.angular[J, J], op.angular[J, J + 2] = -1.0, 1.0
+        boundary = np.outer(grid.r, grid.x)
+        with pytest.raises(SingularFactorError, match="complex"):
+            numgrid.solve_linear_elliptic(
+                op, np.zeros_like(boundary), boundary)
+        assert op.factorizations == 0
+
+
+class TestSeparatedSolveOracle:
+    """The separated solve against Gaussian elimination on the dense
+    matrix of the same operator, on 16^2 grids with a random source and
+    boundary: they agree at the cond(A) eps level."""
+
+    @staticmethod
+    def _operator(name, **params):
+        from cornermass.corner import scenario_build
+        from cornermass.harmonic.fields import (build_coefficients,
+                                                build_solver_grid)
+        from cornermass.harmonic.solver import _assemble_operator
+        data = scenario_build(name, **params)
+        grid = build_solver_grid(data, 16, 16, 10.0)
+        coeffs = build_coefficients(data, grid)
+        mode = "center" if coeffs.chart == "areal" else "trapped_const"
+        return coeffs, _assemble_operator(coeffs, mode)
+
+    @pytest.mark.parametrize("name, params, corners, centre", [
+        ("hyperbolic_negschw", {}, 1, True),
+        ("schwarzschild", {"m": 1.0}, 0, False),
+        ("flat", {}, 0, True),
+    ], ids=["negschw", "schwarzschild", "flat"])
+    def test_matches_dense_solve(self, name, params, corners, centre):
+        from oracles import dense_elliptic_solve
+        coeffs, op = self._operator(name, **params)
+        assert coeffs.chart == ("isotropic" if name == "schwarzschild"
+                                else "areal")
+        assert len(coeffs.corner_indices) == corners
+        assert (op.centre is not None) == centre
+        rng = np.random.default_rng(7)
+        source = rng.standard_normal(op.fixed.shape)
+        boundary = rng.standard_normal(op.fixed.shape)
+        u, info = numgrid.solve_linear_elliptic(op, source, boundary)
+        v, A, b = dense_elliptic_solve(op, source, boundary)
+        dense = v[:op.fixed.size].reshape(op.fixed.shape)
+        bound = 10.0 * np.linalg.cond(A) * np.finfo(float).eps \
+            * np.max(np.abs(v))
+        assert np.max(np.abs(u - dense)) <= bound
+        # one separated solve alone, before the refinement step, and the
+        # centre value with it
+        assert np.max(np.abs(op.solve(b) - v)) <= bound
+        assert info["residual"] <= 1e-12 * np.max(np.abs(A)) \
+            * np.max(np.abs(v))
+        assert np.array_equal(u[op.fixed], boundary[op.fixed])
+        # the corner rows, read independently of the operator: the dense
+        # solution's radial flux u_s / sqrt(lam) is continuous there
+        st = coeffs.stencils
+        for k, i in enumerate(coeffs.corner_indices):
+            minus = st.r[0].apply(dense)[i] / coeffs.sqlam[i]
+            plus = st.r_plus[0].apply(dense)[k] \
+                / np.sqrt(coeffs.corner_plus[i]["lam"])
+            assert np.max(np.abs(minus - plus)) <= 1e-9 * np.max(
+                np.abs(minus))
 
 
 class TestDeterminism:
     def test_bitwise_repeatability(self):
-        # two independent assemblies and factorizations
+        # two independent assemblies and factorizations, of the flat
+        # annulus and of negschw's operator (a corner ring and a centre)
+        from cornermass.corner import scenario_build
+        from cornermass.harmonic.fields import (build_coefficients,
+                                                build_solver_grid)
+        from cornermass.harmonic.solver import _assemble_operator
+        data = scenario_build("hyperbolic_negschw")
         runs = []
         for _ in range(2):
             grid, op = _flat_laplace_setup()
             boundary = np.outer(grid.r, np.abs(grid.x) ** 1.5)
             u, _ = numgrid.solve_linear_elliptic(
                 op, np.zeros_like(boundary), boundary)
-            runs.append(u.copy())
-        assert np.array_equal(runs[0], runs[1])
+            grid = build_solver_grid(data, 16, 16, 10.0)
+            op = _assemble_operator(build_coefficients(data, grid), "center")
+            boundary = np.outer(grid.r, grid.x)
+            v, _ = numgrid.solve_linear_elliptic(
+                op, np.sin(boundary), boundary)
+            runs.append((u.copy(), v.copy()))
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
     def test_ode_repeatability(self):
         outs = [numgrid.integrate_ode(lambda t, y: np.sin(t) * y, [1.0],
