@@ -1,8 +1,9 @@
 """Spacetime-harmonic solver and the mass-inequality bookkeeping.
 
 Submodules: ``fields`` (grid coefficients, sampled fields, spacetime
-Hessian), ``solver`` (Picard iteration of Delta u + K |grad u| = 0, each
-step one direct solve with the grid's separated factor), ``massbound`` (both
+Hessian), ``solver`` (Anderson-accelerated Picard iteration of
+Delta u + K |grad u| = 0, each step one direct solve with the grid's
+separated factor), ``massbound`` (both
 sides of the mass inequality with corner terms), ``identities`` (the bulk
 integral identity and the boundary identity, checked term by term).
 """

@@ -29,7 +29,6 @@ and the spacetime Hessian adds |grad u| k = |grad u| diag(a, b, b).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -414,15 +413,14 @@ class AxisymField:
         """CSV export (r, theta, u, |grad u|), one row per node; r is the
         areal radius of the node."""
         gn = self.grad_norm_plain()
-        rho = self.coeffs.rho
+        theta = self.grid.theta.tolist()
+        # the csv module's bytes: repr of each float, \r\n line ends
         with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["r", "theta", "u", "grad_norm"])
-            for i in range(self.grid.n_r):
-                for j, th in enumerate(self.grid.theta):
-                    wr.writerow([repr(float(rho[i])), repr(float(th)),
-                                 repr(float(self.values[i, j])),
-                                 repr(float(gn[i, j]))])
+            fh.write("r,theta,u,grad_norm\r\n")
+            for r, u_ring, g_ring in zip(self.coeffs.rho.tolist(),
+                                         self.values, gn):
+                fh.writelines(f"{r!r},{t!r},{u!r},{g!r}\r\n" for t, u, g
+                              in zip(theta, u_ring.tolist(), g_ring.tolist()))
 
 
 @dataclass

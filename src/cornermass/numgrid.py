@@ -557,6 +557,15 @@ class EllipticOperator:
             out[-1] += w0 @ u[0] + w1 @ u[1]
         return out
 
+    def unknowns(self, u):
+        """The vector v of the (N, M+1) node values u, with the centre
+        value (if any) from its own row: c = -(w0 . u[0] + w1 . u[1])."""
+        u = np.asarray(u, dtype=float)
+        if self.centre is None:
+            return u.ravel()
+        _, w0, w1 = self.centre
+        return np.append(u.ravel(), -(w0 @ u[0] + w1 @ u[1]))
+
     def rhs(self, source, boundary_values):
         """b: the source at the source rows, the Dirichlet values at the
         fixed nodes, zero elsewhere."""

@@ -13,11 +13,16 @@ tables must match them exactly.
 ``shi_tam_rk4`` integrates the scalar-flat extension ODE by RK4, the
 oracle of the closed-form profile of ``cornermass.extension``.
 
+``csv_per_node`` is the node-by-node writer that
+``AxisymField.to_csv`` must reproduce byte for byte.
+
 ``dense_elliptic_solve`` is the oracle of the separated direct solve of
 ``cornermass.numgrid``: it builds the operator's dense matrix column by
 column from the matrix-free ``apply`` and solves it by Gaussian
 elimination with partial pivoting.
 """
+
+import csv
 
 import numpy as np
 
@@ -224,3 +229,18 @@ def dense_elliptic_solve(operator, source, boundary_values):
                  axis=1)
     b = operator.rhs(source, boundary_values)
     return np.linalg.solve(A, b), A, b
+
+
+def csv_per_node(field, path):
+    """The (r, theta, u, |grad u|) CSV of an AxisymField, one
+    ``writerow`` and four ``repr(float(...))`` per node."""
+    gn = field.grad_norm_plain()
+    rho = field.coeffs.rho
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["r", "theta", "u", "grad_norm"])
+        for i in range(field.grid.n_r):
+            for j, th in enumerate(field.grid.theta):
+                wr.writerow([repr(float(rho[i])), repr(float(th)),
+                             repr(float(field.values[i, j])),
+                             repr(float(gn[i, j]))])

@@ -315,16 +315,19 @@ class TestDeterminism:
         cfgp = write(tmp_path, "d.cfg", """
 [run]
 scenario = hyperbolic_negschw
-resolutions = 16
+resolutions = 16 24
 truncation = 10.0
 """)
-        outs = []
+        outs, csvs = [], []
         for k in range(2):
             out = str(tmp_path / f"r{k}.json")
+            csvp = str(tmp_path / f"r{k}.csv")
             rc = cli.main(["massbound", "--config", cfgp,
-                           "--deterministic", "--out", out])
+                           "--deterministic", "--out", out, "--csv", csvp])
             outs.append(open(out, "rb").read())
+            csvs.append(open(csvp, "rb").read())
         assert outs[0] == outs[1]
+        assert csvs[0] == csvs[1] and csvs[0].count(b"\n") == 1 + 25 * 25
 
 
 class TestRegress:
