@@ -226,12 +226,13 @@ def cmd_constraints(cfg, args):
                                  exclude=data.corner_radii)
         lo = patch.r_in if patch.r_in > 0 else 1e-3 * patch.r_out
         rs = np.linspace(lo, patch.r_out, 9)
-        rows = []
-        for r in rs:
-            c = geometry.constraints(patch, float(r))
-            rows.append({"radius": c.radius, "R": c.R, "mu": c.mu,
-                         "J_radial": c.J_radial,
-                         "dec_margin": c.dec_margin})
+        R, mu, J_n = geometry.constraint_densities(patch, rs)
+        margin = geometry.dec_margin(mu, J_n)
+        rows = [{"radius": r, "R": R_r, "mu": mu_r, "J_radial": J_r,
+                 "dec_margin": m}
+                for r, R_r, mu_r, J_r, m in zip(
+                    rs.tolist(), R.tolist(), mu.tolist(), J_n.tolist(),
+                    margin.tolist())]
         per_patch.append({"label": patch.label, "dec": rep,
                           "samples": rows})
         ok = ok and rep.verdict

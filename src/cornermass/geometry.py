@@ -101,7 +101,7 @@ class ConstraintSample:
 
     @property
     def dec_margin(self):
-        return self.mu - abs(self.J_radial)
+        return float(dec_margin(self.mu, self.J_radial))
 
 
 @dataclass(frozen=True)
@@ -171,19 +171,34 @@ def mean_curvature_sphere(patch: RadialPatch, r):
     return float(out) if out.ndim == 0 else out
 
 
-def constraints(patch: RadialPatch, r) -> ConstraintSample:
-    """Energy and (radial) momentum density at radius r."""
-    patch._require(r)
+def constraint_densities(patch: RadialPatch, r):
+    """(R, mu, J_n) at the radii r, elementwise over an array.
+
+    The radii must lie in the patch; ``constraints`` is the checked
+    scalar form.
+    """
     R = scalar_curvature(patch, r)
-    a = float(patch.av(r))
-    b = float(patch.bv(r))
+    a = patch.av(r)
+    b = patch.bv(r)
     trk = a + 2.0 * b
     ksq = a * a + 2.0 * b * b
     mu = 0.5 * (R + trk * trk - ksq)
-    J_r = 2.0 * (a - b) / r - 2.0 * float(patch.bp(r))
-    J_n = float(np.sqrt(patch.fv(r))) * J_r
+    J_r = 2.0 * (a - b) / r - 2.0 * patch.bp(r)
+    J_n = np.sqrt(patch.fv(r)) * J_r
+    return R, mu, J_n
+
+
+def dec_margin(mu, J_n):
+    """Dominant-energy margin mu - |J|."""
+    return mu - np.abs(J_n)
+
+
+def constraints(patch: RadialPatch, r) -> ConstraintSample:
+    """Energy and (radial) momentum density at radius r."""
+    patch._require(r)
+    R, mu, J_n = constraint_densities(patch, r)
     return ConstraintSample(radius=float(r), R=float(R), mu=float(mu),
-                            J_radial=J_n)
+                            J_radial=float(J_n))
 
 
 def momentum_tensor(patch: RadialPatch, r) -> MomentumTensorSample:
@@ -207,6 +222,20 @@ def null_expansions(patch: RadialPatch, r) -> NullExpansions:
                           theta_minus=H - ts)
 
 
+def dec_margins(patch: RadialPatch, samples: int = 128, exclude=()):
+    """The radii ``dec_check`` samples and the margin mu - |J| at each."""
+    if samples < 2:
+        raise ValueError("need at least two samples")
+    lo = patch.r_in if patch.r_in > 0 else 5e-3 * patch.r_out
+    rs = np.linspace(lo, patch.r_out, samples)
+    pad = 2.0 * (rs[1] - rs[0])
+    mask = np.ones(rs.size, dtype=bool)
+    for rc in exclude:
+        mask &= np.abs(rs - rc) > pad
+    rs = rs[mask]
+    return rs, dec_margin(*constraint_densities(patch, rs)[1:])
+
+
 def dec_check(patch: RadialPatch, samples: int = 128,
               tolerance: float = 1e-10,
               exclude=()) -> DecReport:
@@ -218,16 +247,7 @@ def dec_check(patch: RadialPatch, samples: int = 128,
     a small relative offset: below it the curvature closed form loses all
     significant digits to the 1/r^2 cancellation.
     """
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    lo = patch.r_in if patch.r_in > 0 else 5e-3 * patch.r_out
-    rs = np.linspace(lo, patch.r_out, samples)
-    pad = 2.0 * (rs[1] - rs[0])
-    mask = np.ones(rs.size, dtype=bool)
-    for rc in exclude:
-        mask &= np.abs(rs - rc) > pad
-    rs = rs[mask]
-    margins = np.array([constraints(patch, r).dec_margin for r in rs])
+    rs, margins = dec_margins(patch, samples, exclude)
     i = int(np.argmin(margins))
     return DecReport(min_margin=float(margins[i]), radius_of_min=float(rs[i]),
                      samples=int(rs.size), tolerance=tolerance)

@@ -35,6 +35,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..corner import GluedDataSet, areal_sigma
+from ..geometry import constraint_densities
 from ..numgrid import AxisymGrid, stencil_d1, stencil_d2
 
 
@@ -232,11 +233,8 @@ def _areal_vals(data, rr, patch):
     fp = patch.fp(rr)
     a = patch.av(rr)
     b = patch.bv(rr)
-    bp = patch.bp(rr)
-    R = (2.0 / rr**2) * (1.0 - f - rr * fp)
+    _, mu, Jn = constraint_densities(patch, rr)
     trk = a + 2 * b
-    mu = 0.5 * (R + trk**2 - (a * a + 2 * b * b))
-    Jn = np.sqrt(f) * (2.0 * (a - b) / rr - 2.0 * bp)
     return dict(f=f, fp=fp, sqf=np.sqrt(f),
                 lam=1.0 / f, lamp=-fp / (f * f), sqlam=1.0 / np.sqrt(f),
                 rho=rr, rhop=np.ones_like(rr),
@@ -342,27 +340,37 @@ class AxisymField:
 
     # -- finite differences ----------------------------------------------
 
+    def _table(self, name, side="minus"):
+        """One derivative table on every node, built on first use: u_x,
+        u_xx, or a radial one (u_r, u_rr, u_rx) with the minus-side rows
+        at corners, or under side="plus" the plus-side rows."""
+        radial = name in ("u_r", "u_rr", "u_rx")
+        key = ("plus", name) if radial and side == "plus" else name
+        out = self._cache.get(key)
+        if out is None:
+            st = self.coeffs.stencils
+            vals = self._table("u_x") if name == "u_rx" else self.values
+            order = 2 if name in ("u_rr", "u_xx") else 1
+            if not radial:
+                out = st.d_x(vals, order)
+            elif side == "plus":
+                out = st.plus_side(self._table(name), vals, order)
+            else:
+                out = st.d_r(vals, order)
+            self._cache[key] = out
+        return out
+
     def _derivs(self):
         """u_r, u_rr, u_x, u_xx, u_rx on every node, minus side at corners;
         under "plus" the radial three with the plus-side corner rows."""
-        if "u_r" in self._cache:
-            return self._cache
-        st, v = self.coeffs.stencils, self.values
-        u_x = st.d_x(v, 1)
-        d = dict(u_r=st.d_r(v, 1), u_rr=st.d_r(v, 2), u_x=u_x,
-                 u_xx=st.d_x(v, 2), u_rx=st.d_r(u_x, 1))
-        d["plus"] = dict(u_r=st.plus_side(d["u_r"], v, 1),
-                         u_rr=st.plus_side(d["u_rr"], v, 2),
-                         u_rx=st.plus_side(d["u_rx"], u_x, 1))
-        self._cache.update(d)
-        return self._cache
+        radial = ("u_r", "u_rr", "u_rx")
+        d = {n: self._table(n) for n in radial + ("u_x", "u_xx")}
+        d["plus"] = {n: self._table(n, "plus") for n in radial}
+        return d
 
     def _radial(self, side):
         """(u_s, u_ss, u_sx) on every node for the given corner side."""
-        d = self._derivs()
-        if side == "plus":
-            d = d["plus"]
-        return d["u_r"], d["u_rr"], d["u_rx"]
+        return tuple(self._table(n, side) for n in ("u_r", "u_rr", "u_rx"))
 
     def radial_derivative_rows(self, i, side="minus"):
         """(u_s, u_ss, u_sx) rows at radial index i for the given side."""
@@ -381,10 +389,9 @@ class AxisymField:
         """(u_t, q): proper radial derivative u_s/sqrt(lam) and u_theta/rho."""
         g = self.grid
         sin = np.sqrt(np.maximum(1.0 - g.x**2, 0.0))[None, :]
-        u_r = self._radial(side)[0]
         (sqlam, rho) = self._side_arrays(("sqlam", "rho"), side)
-        u_t = u_r / sqlam[:, None]
-        q = -sin * self._derivs()["u_x"] / rho[:, None]
+        u_t = self._table("u_r", side) / sqlam[:, None]
+        q = -sin * self._table("u_x") / rho[:, None]
         return u_t, q
 
     def grad_norm(self, side="minus", delta=None):
@@ -397,12 +404,12 @@ class AxisymField:
 
     def laplacian(self, side="minus"):
         """Delta u from the same stencils used everywhere else."""
-        d = self._derivs()
         x = self.grid.x[None, :]
-        u_r, u_rr, _ = self._radial(side)
+        u_r, u_rr = self._table("u_r", side), self._table("u_rr", side)
         lam, lamp, rho, rhop = [arr[:, None] for arr in self._side_arrays(
             ("lam", "lamp", "rho", "rhop"), side)]
-        ang = ((1.0 - x * x) * d["u_xx"] - 2.0 * x * d["u_x"]) / (rho * rho)
+        ang = ((1.0 - x * x) * self._table("u_xx")
+               - 2.0 * x * self._table("u_x")) / (rho * rho)
         return (u_rr / lam
                 + (2.0 * rhop / (lam * rho) - lamp / (2.0 * lam * lam)) * u_r
                 + ang)
@@ -413,13 +420,14 @@ class AxisymField:
         """CSV export (r, theta, u, |grad u|), one row per node; r is the
         areal radius of the node."""
         gn = self.grad_norm_plain()
-        theta = self.grid.theta.tolist()
+        theta = [repr(t) for t in self.grid.theta.tolist()]
         # the csv module's bytes: repr of each float, \r\n line ends
         with open(path, "w", newline="") as fh:
             fh.write("r,theta,u,grad_norm\r\n")
             for r, u_ring, g_ring in zip(self.coeffs.rho.tolist(),
                                          self.values, gn):
-                fh.writelines(f"{r!r},{t!r},{u!r},{g!r}\r\n" for t, u, g
+                r = repr(r)
+                fh.writelines(f"{r},{t},{u!r},{g!r}\r\n" for t, u, g
                               in zip(theta, u_ring.tolist(), g_ring.tolist()))
 
 
@@ -440,7 +448,7 @@ class SpacetimeHessianField:
 
 def _hessian_components(field: AxisymField, side="minus"):
     g = field.grid
-    d = field._derivs()
+    u_x, u_xx = field._table("u_x"), field._table("u_xx")
     x = g.x[None, :]
     sin = np.sqrt(np.maximum(1.0 - g.x**2, 0.0))[None, :]
     u_r, u_rr, u_rx = field._radial(side)
@@ -449,10 +457,10 @@ def _hessian_components(field: AxisymField, side="minus"):
                                        ("lam", "lamp", "sqlam", "rho",
                                         "rhop"), side)]
     t_rr = (u_rr - (lamp / (2.0 * lam)) * u_r) / lam
-    t_rt = -(sin / (sqlam * rho)) * (u_rx - (rhop / rho) * d["u_x"])
-    t_tt = ((1.0 - x * x) * d["u_xx"] - x * d["u_x"]) / (rho * rho) \
+    t_rt = -(sin / (sqlam * rho)) * (u_rx - (rhop / rho) * u_x)
+    t_tt = ((1.0 - x * x) * u_xx - x * u_x) / (rho * rho) \
         + (rhop / (lam * rho)) * u_r
-    t_pp = (rhop / (lam * rho)) * u_r - x * d["u_x"] / (rho * rho)
+    t_pp = (rhop / (lam * rho)) * u_r - x * u_x / (rho * rho)
     return dict(rr=t_rr, rt=t_rt, tt=t_tt, pp=t_pp)
 
 

@@ -3,11 +3,12 @@ quadrature, an explicit ODE integrator, a direct elliptic solve by
 separation of variables, a bracketed root finder and Richardson
 extrapolation.
 
-Everything in this module is a pure function of its inputs; no global state,
-no randomness.  Identical inputs produce identical outputs across runs.  The
-one cache, an elliptic operator's factor (the angular eigenvectors and one
-banded LU per radial mode), depends only on the operator.  numpy is the
-only dependency.
+Everything in this module is a pure function of its inputs; no randomness.
+Identical inputs produce identical outputs across runs.  Two caches hold
+only what their inputs determine: an elliptic operator's factor (the
+angular eigenvectors and one banded LU per radial mode), and the
+module's Gauss-Legendre rules, one per node count, built on first use.
+numpy is the only dependency.
 
 Conventions
 -----------
@@ -217,10 +218,49 @@ class AxisymGrid:
         return w
 
 
+_GAUSS_RULES = {}
+
+
 def gauss_x_nodes(n=64):
-    """Gauss-Legendre nodes/weights on x in [-1, 1] (sphere polar measure)."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x[::-1].copy(), w[::-1].copy()
+    """Gauss-Legendre nodes/weights on x in [-1, 1] (sphere polar measure),
+    nodes decreasing from the north pole.  Each rule is built on first use
+    and cached; the caller gets its own copies."""
+    n = int(n)
+    if n not in _GAUSS_RULES:
+        _GAUSS_RULES[n] = _gauss_legendre(n)
+    x, w = _GAUSS_RULES[n]
+    return x.copy(), w.copy()
+
+
+def _gauss_legendre(n):
+    """Newton's method on the Legendre recurrence for the roots x_k >= 0 of
+    P_n from cos(pi (k - 1/4)/(n + 1/2)), mirrored to the negative half so
+    the rule is exactly symmetric; w = 2/((1 - x^2) P_n'(x)^2), scaled to
+    total weight 2."""
+    if n < 1:
+        raise ValueError("need at least one Gauss node")
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = np.cos(np.pi * (k - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(n, x)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) <= 1e-15:
+            break
+    if n % 2:
+        x[-1] = 0.0
+    w = 2.0 / ((1.0 - x * x) * _legendre(n, x)[1] ** 2)
+    x = np.concatenate([x, -x[:n // 2][::-1]])
+    w = np.concatenate([w, w[:n // 2][::-1]])
+    return x, w * (2.0 / w.sum())
+
+
+def _legendre(n, x):
+    """(P_n(x), P_n'(x)) by the three-term recurrence, |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for m in range(1, n):
+        p0, p1 = p1, ((2 * m + 1) * x * p1 - m * p0) / (m + 1)
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
 
 
 # ---------------------------------------------------------------------------

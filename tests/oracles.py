@@ -16,6 +16,11 @@ oracle of the closed-form profile of ``cornermass.extension``.
 ``csv_per_node`` is the node-by-node writer that
 ``AxisymField.to_csv`` must reproduce byte for byte.
 
+``dec_margins_per_point`` is the radius-by-radius constraint loop that
+``geometry.dec_check`` evaluates on arrays, and ``gauss_legendre_numpy``
+is numpy's own Gauss-Legendre rule, the oracle of
+``numgrid.gauss_x_nodes``.
+
 ``dense_elliptic_solve`` is the oracle of the separated direct solve of
 ``cornermass.numgrid``: it builds the operator's dense matrix column by
 column from the matrix-free ``apply`` and solves it by Gaussian
@@ -26,6 +31,7 @@ import csv
 
 import numpy as np
 
+from cornermass.geometry import scalar_curvature
 from cornermass.numgrid import integrate_ode, stencil_d1, stencil_d2
 
 
@@ -244,3 +250,27 @@ def csv_per_node(field, path):
                 wr.writerow([repr(float(rho[i])), repr(float(th)),
                              repr(float(field.values[i, j])),
                              repr(float(gn[i, j]))])
+
+
+def dec_margins_per_point(patch, rs):
+    """mu - |J_n| at each radius, one scalar evaluation of every profile
+    per radius in Python floats."""
+    out = []
+    for r in rs:
+        r = float(r)
+        R = scalar_curvature(patch, r)
+        a = float(patch.av(r))
+        b = float(patch.bv(r))
+        trk = a + 2.0 * b
+        ksq = a * a + 2.0 * b * b
+        mu = 0.5 * (R + trk * trk - ksq)
+        J_r = 2.0 * (a - b) / r - 2.0 * float(patch.bp(r))
+        J_n = float(np.sqrt(patch.fv(r))) * J_r
+        out.append(mu - abs(J_n))
+    return np.array(out)
+
+
+def gauss_legendre_numpy(n):
+    """numpy's Gauss-Legendre rule, nodes decreasing."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return x[::-1], w[::-1]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -256,15 +257,15 @@ truncation = 12.0
 
 class TestImportPath:
     @staticmethod
-    def _loaded(code, cwd=None):
-        """Sorted scipy modules loaded after running ``code`` in a fresh
-        interpreter that imports the package from this source tree."""
+    def _loaded(code, cwd=None, package="scipy"):
+        """Sorted modules of ``package`` loaded after running ``code`` in a
+        fresh interpreter that imports the package from this source tree."""
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
         code += ("\nimport json, sys\nprint(json.dumps(sorted(m for m in "
-                 "sys.modules if m.split('.')[0] == 'scipy')))")
+                 f"sys.modules if (m + '.').startswith({package!r} + '.'))))")
         out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                              capture_output=True, text=True, check=True)
         return json.loads(out.stdout.splitlines()[-1])
@@ -295,6 +296,21 @@ hull_radii = 2.6 3.0 3.5
             "assert c.main(['regress', '--out', 'r.json']) == 0",
             cwd=tmp_path)
         assert loaded == []
+
+    def test_regress_leaves_numpy_polynomial_unloaded(self, tmp_path):
+        # the Gauss-Legendre rules are built by numgrid itself
+        loaded = self._loaded(
+            "import cornermass.cli as c\n"
+            "assert c.main(['regress', '--out', 'r.json']) == 0",
+            cwd=tmp_path, package="numpy.polynomial")
+        assert loaded == []
+
+    def test_src_has_no_numpy_polynomial(self):
+        src = Path(cli.__file__).resolve().parent
+        hits = [str(p) for p in sorted(src.rglob("*.py"))
+                if re.search(r"(numpy|np)\.polynomial|leggauss",
+                             p.read_text(encoding="utf-8"))]
+        assert hits == []
 
     def test_massbound_loads_no_scipy(self, tmp_path):
         write(tmp_path, "m.cfg", """

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from cornermass import geometry
+from cornermass.corner import scenario_build, scenario_names
 from cornermass.errors import DomainError
 from cornermass.geometry import (RadialPatch, constraints, dec_check,
+                                 dec_margins,
                                  flat_metric_profile,
                                  hyperbolic_metric_profile,
                                  mean_curvature_sphere, momentum_tensor,
@@ -226,6 +228,30 @@ class TestDecCheck:
         assert c.J_radial == pytest.approx(want_J, abs=1e-4)
         assert rep.min_margin == pytest.approx(c.mu - abs(c.J_radial),
                                                abs=1e-12)
+
+
+class TestDecMarginsOnArrays:
+    @pytest.mark.parametrize("name", [
+        n for n in scenario_names() if n != "custom"])
+    def test_bit_identical_to_per_point_loop(self, name):
+        data = scenario_build(name)
+        for patch in data.patches:
+            rs, margins = dec_margins(patch, 128, exclude=data.corner_radii)
+            want = oracles.dec_margins_per_point(patch, rs)
+            assert rs.size and np.all(margins == want)
+            rep = dec_check(patch, exclude=data.corner_radii)
+            i = int(np.argmin(want))
+            assert rep.min_margin == want[i] and rep.radius_of_min == rs[i]
+
+    def test_scalar_wrapper_matches_arrays(self):
+        data = scenario_build("hyperbolic_negschw")
+        for patch in data.patches:
+            rs = np.linspace(max(patch.r_in, 0.1), patch.r_out, 9)
+            R, mu, J_n = geometry.constraint_densities(patch, rs)
+            for k, r in enumerate(rs):
+                c = constraints(patch, float(r))
+                assert (c.R, c.mu, c.J_radial) == (R[k], mu[k], J_n[k])
+                assert c.dec_margin == mu[k] - abs(J_n[k])
 
 
 class TestCenterRegularity:

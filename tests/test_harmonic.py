@@ -257,6 +257,27 @@ class TestCsvExport:
         assert got.count(b"\r\n") == 1 + 49 * 49
 
 
+class TestGradNormTables:
+    @pytest.mark.parametrize("side", ["minus", "plus"])
+    def test_builds_only_u_r_and_u_x(self, side):
+        data = scenario_build("hyperbolic_negschw")
+        grid = build_solver_grid(data, 48, 48, 30.0)
+        coeffs = build_coefficients(data, grid)
+        vals = np.random.default_rng(3).standard_normal(
+            (grid.n_r, grid.n_theta))
+        lean = AxisymField(coeffs, vals, delta=0.01)
+        got = lean.grad_norm(side)
+        want_keys = {"u_r", "u_x"} | ({("plus", "u_r")} if side == "plus"
+                                      else set())
+        assert set(lean._cache) == want_keys
+        full = AxisymField(coeffs, vals, delta=0.01)
+        full._derivs()
+        assert np.all(got == full.grad_norm(side))
+        st = coeffs.stencils
+        assert np.all(lean._table("u_r", side) == st.d_r(vals, 1, side))
+        assert np.all(lean._table("u_x") == st.d_x(vals, 1))
+
+
 class TestStencilTables:
     """The prebuilt per-grid tables against the per-node reference loops."""
 

@@ -307,3 +307,29 @@ class TestDeterminism:
         outs = [numgrid.integrate_ode(lambda t, y: np.sin(t) * y, [1.0],
                                       (0.0, 2.0), 1e-3)[1] for _ in range(2)]
         assert np.array_equal(outs[0], outs[1])
+
+
+class TestGaussNodes:
+    @pytest.mark.parametrize("n", [8, 24, 48, 64, 96])
+    def test_matches_numpy_rule(self, n):
+        import oracles
+        x, w = numgrid.gauss_x_nodes(n)
+        want_x, want_w = oracles.gauss_legendre_numpy(n)
+        assert np.max(np.abs(x - want_x)) <= 1e-14
+        assert np.max(np.abs(w - want_w)) <= 1e-14
+        assert np.all(x == -x[::-1]) and np.all(w == w[::-1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 24, 48, 64, 96])
+    def test_exact_on_polynomials(self, n):
+        x, w = numgrid.gauss_x_nodes(n)
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(np.dot(w, x ** k) - exact) <= 1e-14
+
+    def test_cached_rule_cannot_be_corrupted(self):
+        x, w = numgrid.gauss_x_nodes(48)
+        x0, w0 = x.copy(), w.copy()
+        x[:] = 0.0
+        w *= 3.0
+        x1, w1 = numgrid.gauss_x_nodes(48)
+        assert np.array_equal(x1, x0) and np.array_equal(w1, w0)
