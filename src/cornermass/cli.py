@@ -245,7 +245,7 @@ def cmd_constraints(cfg, args):
 
 def _massbound_run_keys(cfg, data):
     """The grid and asymptote keys of massbound, checked before any solve:
-    (resolutions, n_theta, truncation, direction)."""
+    (resolutions, n_theta, truncation, r_inner, direction)."""
     resolutions = _number(
         cfg, "run.resolutions", [32, 64], kind=int, many=True,
         ok=lambda ns: min(ns) >= 8 and all(
@@ -256,18 +256,27 @@ def _massbound_run_keys(cfg, data):
     L = _number(cfg, "run.truncation", 30.0, ok=_positive,
                 need="a positive number")
     try:    # the grid builder judges the truncation on its smallest grid
-        build_solver_grid(data, 8, 8, L, _get(cfg, "run.r_inner"))
-    except (TypeError, ValueError) as exc:
+        build_solver_grid(data, 8, 8, L)
+    except ValueError as exc:
         raise ConfigError(f"truncation {L!r}: {exc}", field="run.truncation")
+    r_inner = _number(cfg, "run.r_inner", ok=lambda r: 0 < r < L,
+                      need=f"a positive number below the truncation {L!r}")
+    if r_inner is not None:
+        try:    # and then the inner radius, on the same grid
+            build_solver_grid(data, 8, 8, L, r_inner)
+        except ValueError as exc:
+            raise ConfigError(f"run.r_inner = {r_inner!r}: {exc}",
+                              field="run.r_inner")
     direction = _number(cfg, "run.direction", 1, kind=int,
                         ok=lambda d: d in (1, -1),
                         need="1 or -1 (the +z or -z asymptote)")
-    return resolutions, n_theta, L, direction
+    return resolutions, n_theta, L, r_inner, direction
 
 
 def cmd_massbound(cfg, args):
     data = _scenario_from_config(cfg)
-    resolutions, n_theta, L, direction = _massbound_run_keys(cfg, data)
+    resolutions, n_theta, L, r_inner, direction = _massbound_run_keys(
+        cfg, data)
     delta = _number(cfg, "run.delta", 1e-2, ok=_positive,
                     need="a positive number")
     picard_tol = _number(cfg, "run.picard_tol", 1e-9, ok=_positive,
@@ -281,7 +290,7 @@ def cmd_massbound(cfg, args):
                         picard_tol=picard_tol)
     rep, finest = mass_bound_sweep(
         data, adm, resolutions=resolutions, n_theta=n_theta, L=L,
-        r_inner=_get(cfg, "run.r_inner"), options=opts)
+        r_inner=r_inner, options=opts)
     verdicts = {
         "slack_nonnegative": rep.verdict,
         "corner_hypothesis_violated": rep.corner_hypothesis_violated,

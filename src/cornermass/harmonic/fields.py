@@ -75,10 +75,16 @@ def build_solver_grid(data: GluedDataSet, n_r, n_theta, L,
         # default inner boundary: a weakly trapped sphere just inside the
         # minimal surface (theta_+ < 0 there)
         sig_lo = r_inner if r_inner is not None else 0.25 * m
+        if not 0.0 < sig_lo < sig_hi:
+            raise ValueError(f"the inner chart radius must lie in (0, "
+                             f"{float(sig_hi)!r}), inside the truncation")
         nodes = np.exp(np.linspace(np.log(sig_lo), np.log(sig_hi), n_r + 1))
         return AxisymGrid.build(nodes, n_theta)
     if L > data.r_max + 1e-9:
         raise ValueError("truncation radius exceeds the data set")
+    if r_inner is not None and r_inner < data.r_min - 1e-9:
+        raise ValueError(f"inner radius lies below the data set's "
+                         f"r_min = {data.r_min!r}")
     if r_inner is None:
         if data.has_center:
             # innermost ring well below the first break; the virtual

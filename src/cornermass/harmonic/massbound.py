@@ -246,8 +246,10 @@ def mass_bound_sweep(data: GluedDataSet, adm: AdmResult, *,
     """Solve at a list of resolutions and attach the grid convergence.
 
     Returns the finest grid's report and its solved field.  The report's
-    epsilon_grid is the slack difference of the last resolution pair and
-    its observed order comes from the last three.
+    epsilon_grid is the slack difference of the last resolution pair;
+    its grid_convergence extrapolates that pair at its refinement ratio,
+    with the observed order from the last three resolutions when their
+    two ratios agree.
     """
     opts = options or SolveOptions()
     resolutions = list(resolutions)
@@ -261,8 +263,12 @@ def mass_bound_sweep(data: GluedDataSet, adm: AdmResult, *,
     conv = None
     eps = None
     if len(slacks) >= 2:
-        third = slacks[-3] if len(slacks) >= 3 else None
-        conv = richardson(slacks[-2], slacks[-1], 1.0, third_coarsest=third)
+        third, third_ratio = None, None
+        if len(slacks) >= 3:
+            third, third_ratio = slacks[-3], resolutions[-2] / resolutions[-3]
+        conv = richardson(slacks[-2], slacks[-1], 1.0, third_coarsest=third,
+                          ratio=resolutions[-1] / resolutions[-2],
+                          third_ratio=third_ratio)
         eps = abs(slacks[-1] - slacks[-2])
     final = reports[-1]
     final.grid_convergence = conv

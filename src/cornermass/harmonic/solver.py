@@ -20,9 +20,14 @@ max|F(u)| over the source rows of the returned field is reported as
 The grid's operator separates: every ring's row is a radial
 stencil plus 1/rho^2 times one angular matrix, so it is assembled once as
 per-ring radial coefficients and that angular matrix, and factored once
-(the angular eigenvectors, and one banded LU per radial mode, vectorised
-over the modes).  Every step is then two angular transforms around the
-banded solves, plus one refinement solve of the residual.
+(the angular eigenvectors, from the even and odd halves of the
+equatorially symmetric angular matrix, and one banded LU per radial
+mode, vectorised over the modes).  A solve is two angular transforms
+around the banded solves.  The first step is a solve plus one
+refinement solve of its residual; every later step solves once, for the
+correction G(u_k) - u_k = A~^-1 (b(u_k) - A u_k) from the current u_k
+(A~^-1 the factor's solve), so its rounding shrinks with the correction
+and the fixed point is still exactly A u = b(u).
 Outer Dirichlet data is the truncated asymptote a * rho cos(theta); an
 inner sphere may carry a constant Dirichlet value (the trapped-boundary
 option, with the sign of the normal derivative reported afterwards, never
@@ -230,10 +235,11 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
     picard_changes = []
     residual = 0.0
     hist_f, hist_g = [], []              # r_k and G(u_k), flattened
-    for _ in range(opts.max_picard):
+    for step in range(opts.max_picard):
+        # after the first step, one solve of the correction from u
         g, info = solve_linear_elliptic(
             operator, source(AxisymField(coeffs, u, delta=opts.delta)),
-            boundary)
+            boundary, start=u if step else None)
         residual = max(residual, info["residual"])
         f, u = g - u, g
         change = float(np.max(np.abs(f)))

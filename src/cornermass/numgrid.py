@@ -6,15 +6,20 @@ extrapolation.
 Everything in this module is a pure function of its inputs; no randomness.
 Identical inputs produce identical outputs across runs.  Two caches hold
 only what their inputs determine: an elliptic operator's factor (the
-angular eigenvectors and one banded LU per radial mode), and the
-module's Gauss-Legendre rules, one per node count, built on first use.
+angular eigenvectors, found from the two half-size eigenproblems of the
+grid's mirror symmetry theta -> pi - theta, and one banded LU per radial
+mode), and the module's Gauss-Legendre rules, one per node count, built
+on first use.  A linear solve is either a direct solve plus one
+refinement solve, or, from a given start, one solve of the correction.
 numpy is the only dependency.
 
 Conventions
 -----------
 * Radial coordinate ``r`` is the areal radius in geometrized units (G=c=1).
 * Angular coordinate on grids is the polar angle ``theta`` on [0, pi]; all
-  angular stencils are expressed in the variable ``x = cos(theta)``, where
+  angular stencils are expressed in the variable ``x = cos(theta)``
+  (made exactly odd about the equator, so the stencils are exactly
+  mirror-symmetric), where
   the axisymmetric volume measure is plain ``dx`` and linear functions of
   ``x`` are differentiated exactly by 3-point stencils.
 """
@@ -180,7 +185,9 @@ class AxisymGrid:
     ----------
     r : (N,) strictly increasing radii.
     theta : (M+1,) uniform polar angles, endpoints exactly 0 and pi.
-    x : cos(theta); angular stencils act on this (nonuniform) variable.
+    x : cos(theta), made exactly odd under theta -> pi - theta
+        (x[::-1] == -x, within an ulp of cos(theta)); angular stencils
+        act on this (nonuniform) variable.
     """
 
     r: np.ndarray
@@ -198,7 +205,8 @@ class AxisymGrid:
             raise ValueError("theta must be uniform on [0, pi] incl. endpoints")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "theta", th)
-        object.__setattr__(self, "x", np.cos(th))
+        c = np.cos(th)
+        object.__setattr__(self, "x", 0.5 * (c - c[::-1]))
         object.__setattr__(self, "n_r", r.size)
         object.__setattr__(self, "n_theta", th.size)
 
@@ -271,9 +279,11 @@ def _legendre(n, x):
 class ConvergenceReport:
     """Two-resolution extrapolation record.
 
-    ``observed_order`` requires a third (coarsest) value and is NaN otherwise;
-    ``degenerate`` is set when coarse == fine, in which case the extrapolated
-    value is just the common value and no division is attempted.
+    ``observed_order`` requires a third (coarsest) value at the same
+    refinement ratio and is NaN otherwise; ``degenerate`` is set when
+    coarse == fine, in which case the extrapolated value is just the
+    common value and no division is attempted.  ``ratio`` is the
+    refinement ratio h_coarse / h_fine of the pair.
     """
 
     coarse: float
@@ -282,28 +292,37 @@ class ConvergenceReport:
     observed_order: float
     assumed_order: float
     degenerate: bool = False
+    ratio: float = 2.0
 
 
-def richardson(coarse, fine, p, third_coarsest=None):
-    """Standard Richardson extrapolant (2^p fine - coarse)/(2^p - 1).
+def richardson(coarse, fine, p, third_coarsest=None, ratio=2.0,
+               third_ratio=None):
+    """Richardson extrapolant (t^p fine - coarse)/(t^p - 1) of values at
+    spacings h and h/t, t = ``ratio`` (n_fine / n_coarse on a grid).
 
-    ``third_coarsest`` is the value at resolution 2h (one level coarser than
-    ``coarse``); when given, the observed order log2((v_2h - v_h)/(v_h -
-    v_h/2)) is reported.
+    ``third_coarsest`` is the value at spacing ``third_ratio`` * h, one
+    level coarser than ``coarse`` (``third_ratio`` defaults to
+    ``ratio``).  When the two ratios agree the observed order
+    log((v_3 - v_h)/(v_h - v_h/t))/log(t) is reported; otherwise the
+    differences do not determine it and it is NaN.
     """
     coarse = float(coarse)
     fine = float(fine)
+    ratio = float(ratio)
     if coarse == fine:
-        return ConvergenceReport(coarse, fine, fine, float("nan"), p, True)
-    fac = 2.0 ** p
+        return ConvergenceReport(coarse, fine, fine, float("nan"), p, True,
+                                 ratio)
+    fac = ratio ** p
     extrap = (fac * fine - coarse) / (fac - 1.0)
     order = float("nan")
-    if third_coarsest is not None:
+    same = third_ratio is None or abs(float(third_ratio) - ratio) \
+        <= 1e-12 * ratio
+    if third_coarsest is not None and same:
         d1 = float(third_coarsest) - coarse
         d2 = coarse - fine
         if d1 != 0.0 and d2 != 0.0 and d1 * d2 > 0.0:
-            order = float(np.log2(abs(d1) / abs(d2)))
-    return ConvergenceReport(coarse, fine, extrap, order, p, False)
+            order = float(np.log2(abs(d1) / abs(d2)) / np.log2(ratio))
+    return ConvergenceReport(coarse, fine, extrap, order, p, False, ratio)
 
 
 def limit_from_sequence(values, p=1.0):
@@ -494,6 +513,61 @@ def band_solve(factor, lower2, upper2, rhs):
     return y
 
 
+def mirror_eig(X):
+    """X = V diag(lam) V^-1 for a real (K, K) matrix equal to its flip
+    X[::-1, ::-1] (the reduced angular matrix of a grid symmetric under
+    theta -> pi - theta), from two eigenproblems of half size.
+
+    With P the reversal, the even vectors (P e = e) and the odd ones
+    (P o = -o) give an orthogonal Q = [E O] with Q^T X Q = diag(X_e,
+    X_o): for the top h = K // 2 rows, A = X[:h, :h] and B their
+    mirrored columns X[:h, K-1:K-1-h:-1], X_e = A + B (bordered by the
+    middle row and column when K is odd) and X_o = A - B.  Then
+    V = Q diag(W_e, W_o), V^-1 = diag(W_e^-1, W_o^-1) Q^T, and since Q is
+    orthogonal cond(V) is the ratio of the extreme singular values of
+    the two half blocks.  Returns (lam, V, V^-1, cond(V)), the even
+    modes first.  Raises SingularFactorError on a complex spectrum, on
+    an X that is not its own flip and on a defective block.
+    """
+    K = X.shape[0]
+    h, ne = K // 2, K - K // 2
+    A, B = X[:h, :h], X[:h, :K - h - 1:-1]
+    Xe = np.empty((ne, ne))
+    Xe[:h, :h] = A + B
+    if K % 2:
+        Xe[:h, h] = np.sqrt(2.0) * X[:h, h]
+        Xe[h, :h] = np.sqrt(2.0) * X[h, :h]
+        Xe[h, h] = X[h, h]
+    (lam_e, We), (lam_o, Wo) = np.linalg.eig(Xe), np.linalg.eig(A - B)
+    # a spectrum test first: complex modes do not separate over R,
+    # whatever the matrix's symmetry
+    if np.iscomplexobj(lam_e) or np.iscomplexobj(lam_o):
+        raise SingularFactorError(
+            "the reduced angular matrix has a complex spectrum")
+    if not np.array_equal(X, X[::-1, ::-1]):
+        raise SingularFactorError(
+            "the reduced angular matrix is not mirror-symmetric under "
+            "theta -> pi - theta")
+    try:
+        We_inv, Wo_inv = np.linalg.inv(We), np.linalg.inv(Wo)
+    except np.linalg.LinAlgError as exc:
+        raise SingularFactorError(
+            f"the reduced angular matrix is defective: {exc}") from exc
+    s = np.sqrt(0.5)
+    V, Vinv = np.zeros((K, K)), np.zeros((K, K))
+    V[:h, :ne], V[ne:, :ne] = s * We[:h], s * We[h - 1::-1]
+    V[:h, ne:], V[ne:, ne:] = s * Wo, -s * Wo[::-1]
+    Vinv[:ne, :h], Vinv[:ne, ne:] = s * We_inv[:, :h], \
+        s * We_inv[:, h - 1::-1]
+    Vinv[ne:, :h], Vinv[ne:, ne:] = s * Wo_inv, -s * Wo_inv[:, ::-1]
+    if K % 2:
+        V[h, :ne], Vinv[:ne, h] = We[h], We_inv[:, h]
+    sv = np.concatenate([np.linalg.svd(We, compute_uv=False),
+                         np.linalg.svd(Wo, compute_uv=False)])
+    return np.concatenate([lam_e, lam_o]), V, Vinv, float(sv.max()
+                                                          / sv.min())
+
+
 class ModeFactor:
     """The factor of a separated operator: the eigenvectors V of the
     reduced angular matrix and V^-1, ``band_lu``'s factor of every radial
@@ -503,14 +577,15 @@ class ModeFactor:
     system's Schur complement).  ``floats`` counts the float64 values it
     holds; ``eigvec_cond`` is cond(V)."""
 
-    def __init__(self, V, Vinv, band, lower2, upper2, centre=None):
+    def __init__(self, V, Vinv, eigvec_cond, band, lower2, upper2,
+                 centre=None):
         self.V, self.Vinv, self.band = V, Vinv, band
         self.lower2, self.upper2, self.centre = lower2, upper2, centre
         arrays = [V, Vinv, lower2, upper2, *band]
         if centre is not None:
             arrays += centre[:3]
         self.floats = int(sum(a.size for a in arrays))
-        self.eigvec_cond = float(np.linalg.cond(V))
+        self.eigvec_cond = eigvec_cond
 
 
 class EllipticOperator:
@@ -534,8 +609,11 @@ class EllipticOperator:
     nodes and zero elsewhere (``rhs``).
 
     The angular matrix is the same on every ring, so with the axis rows
-    eliminated it becomes one (M-1) x (M-1) matrix X = V diag(lam) V^-1:
-    in the modes w_i = V^-1 u[i, 1:-1] the system splits into one
+    eliminated it becomes one (M-1) x (M-1) matrix X = V diag(lam) V^-1
+    (``reduced_angular``).  On a grid symmetric under theta -> pi - theta
+    X equals its flip, and ``mirror_eig`` finds V from its even and odd
+    halves; an X that is not its own flip is refused.  In the modes
+    w_i = V^-1 u[i, 1:-1] the system splits into one
     pentadiagonal radial system radial + lam_k diag(ring_scale) per mode,
     and the centre unknown is eliminated by bordering.  The factor is
     computed on the first solve and reused by every later one; it is the
@@ -625,20 +703,18 @@ class EllipticOperator:
             self.factorizations += 1
         return self._factor
 
-    def _build_factor(self):
+    def reduced_angular(self):
+        """The (M-1, M-1) angular matrix on the interior columns, with the
+        axis rows eliminated (each axis value is the extrapolation of the
+        next three columns)."""
         X, (w_n, w_s) = self.angular, self.axis_weights
-        Xr = X[:, 1:-1].copy()               # axis rows eliminated
+        Xr = X[:, 1:-1].copy()
         Xr[:, :3] += np.outer(X[:, 0], w_n)
         Xr[:, -3:] += np.outer(X[:, -1], w_s)
-        lam, V = np.linalg.eig(Xr)
-        if np.iscomplexobj(lam):
-            raise SingularFactorError(
-                "the reduced angular matrix has a complex spectrum")
-        try:
-            Vinv = np.linalg.inv(V)
-        except np.linalg.LinAlgError as exc:
-            raise SingularFactorError(
-                f"the reduced angular matrix is defective: {exc}") from exc
+        return Xr
+
+    def _build_factor(self):
+        lam, V, Vinv, cond = mirror_eig(self.reduced_angular())
         R = self.radial[self._free].copy()
         # couplings to the fixed rings move to the right-hand side
         R[0, :2] = R[1, 0] = R[-1, 3:] = R[-2, 4] = 0.0
@@ -646,8 +722,9 @@ class EllipticOperator:
         band = band_lu(R[:, 0], R[:, 1], R[:, 2, None] + g[:, None] * lam,
                        R[:, 3], R[:, 4])
         if self.centre is None:
-            return ModeFactor(V, Vinv, band, R[:, 0], R[:, 4])
+            return ModeFactor(V, Vinv, cond, band, R[:, 0], R[:, 4])
         coupling, w0, w1 = self.centre
+        w_n, w_s = self.axis_weights
         unit = np.zeros((R.shape[0], V.shape[0]))
         unit[0] = coupling * Vinv.sum(axis=1)
         z = band_solve(band, R[:, 0], R[:, 4], unit)
@@ -664,7 +741,7 @@ class EllipticOperator:
         if not abs(pivot) > _PIVOT_TOL * scale:
             raise SingularFactorError(
                 "zero pivot in the centre row of the bordered system")
-        return ModeFactor(V, Vinv, band, R[:, 0], R[:, 4],
+        return ModeFactor(V, Vinv, cond, band, R[:, 0], R[:, 4],
                           (z, *modes, float(pivot)))
 
     def solve(self, b):
@@ -712,21 +789,30 @@ class EllipticOperator:
 
 
 def solve_linear_elliptic(operator: EllipticOperator, source,
-                          boundary_values):
+                          boundary_values, start=None):
     """Direct solve of the operator's equations for one source.
 
     ``source`` holds the right-hand side at the stencil nodes and
     ``boundary_values`` the Dirichlet values at ``operator.fixed``; both
-    are (N, M+1).  One step of iterative refinement follows the solve:
-    the transforms by V amplify rounding by up to cond(V) in the rows
-    with the largest coefficients (the innermost rings), and a second
-    solve, of the residual, removes that (on hyperbolic_negschw at n = 48
-    the largest residual falls from 9.5e-9 to 4.6e-10).  Returns (u, info)
-    with 'residual' = max|A v - b| from the matrix-free ``apply`` and
+    are (N, M+1).  Without ``start``, one step of iterative refinement
+    follows the solve: the transforms by V amplify rounding by up to
+    cond(V) in the rows with the largest coefficients (the innermost
+    rings), and a second solve, of the residual, removes that (on
+    hyperbolic_negschw at n = 48 the largest residual falls from 9.5e-9
+    to 4.6e-10).  With ``start`` = u_k, an (N, M+1) field (its fixed
+    nodes replaced by the Dirichlet values), the one solve is of the
+    correction: u_k + A~^-1 (b - A u_k), where A~^-1 is the factor's
+    solve, so the rounding scales with the correction and a fixed point
+    is still exactly A u = b.  Returns (u, info) with
+    'residual' = max|A v - b| from the matrix-free ``apply`` and
     'sweeps' = 0 (a direct solve does no relaxation sweeps).
     """
     b = operator.rhs(source, boundary_values)
-    v = operator.solve(b)
+    if start is None:
+        v = operator.solve(b)
+    else:
+        v = operator.unknowns(np.where(operator.fixed, boundary_values,
+                                       start))
     v += operator.solve(b - operator.apply(v))
     residual = float(np.max(np.abs(operator.apply(v) - b)))
     u = v[:operator.fixed.size].reshape(operator.fixed.shape)

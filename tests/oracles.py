@@ -24,7 +24,9 @@ is numpy's own Gauss-Legendre rule, the oracle of
 ``dense_elliptic_solve`` is the oracle of the separated direct solve of
 ``cornermass.numgrid``: it builds the operator's dense matrix column by
 column from the matrix-free ``apply`` and solves it by Gaussian
-elimination with partial pivoting.
+elimination with partial pivoting, and ``full_eig`` is the eigenproblem of
+the whole reduced angular matrix that ``numgrid.mirror_eig`` splits in
+two.
 """
 
 import csv
@@ -235,6 +237,13 @@ def dense_elliptic_solve(operator, source, boundary_values):
                  axis=1)
     b = operator.rhs(source, boundary_values)
     return np.linalg.solve(A, b), A, b
+
+
+def full_eig(X):
+    """(lam, V, V^-1, cond(V)) of a real matrix by one ``numpy.linalg.eig``
+    of the whole matrix, ``numpy.linalg.inv`` and ``numpy.linalg.cond``."""
+    lam, V = np.linalg.eig(X)
+    return lam, V, np.linalg.inv(V), float(np.linalg.cond(V))
 
 
 def csv_per_node(field, path):

@@ -75,8 +75,13 @@ r0 = 2.0
         ("resolutions", "16 x"),
         ("resolutions", "2"),
         ("n_theta", "2"),
+        ("r_inner", "0"),
+        ("r_inner", "abc"),
+        ("r_inner", "-1"),
+        ("r_inner", "50"),
     ], ids=["direction", "truncation", "resolutions_type",
-            "resolutions_small", "n_theta"])
+            "resolutions_small", "n_theta", "r_inner_zero", "r_inner_type",
+            "r_inner_negative", "r_inner_beyond_truncation"])
     def test_run_key_errors_are_config_errors(self, tmp_path, key, value):
         keys = {"scenario": "hyperbolic_negschw", "resolutions": "16",
                 key: value}
@@ -88,6 +93,25 @@ r0 = 2.0
         assert exc.value.field == f"run.{key}"
         assert cli.main(["massbound", "--config", path]) == 2
 
+
+    @pytest.mark.parametrize("scenario, value", [
+        # inside the truncation's areal radius 10 but outside its
+        # isotropic chart radius 8.97
+        ("schwarzschild", "9.5"),
+        # below the data set's r_min = 1
+        ("polynomial", "0.5"),
+    ], ids=["beyond_chart_truncation", "below_data"])
+    def test_r_inner_outside_the_data(self, tmp_path, capsys, scenario,
+                                      value):
+        path = write(tmp_path, "i.cfg", f"[run]\nscenario = {scenario}\n"
+                     f"resolutions = 16\ntruncation = 10\n"
+                     f"r_inner = {value}\n")
+        args = cli.argparse.Namespace(csv=None)
+        with pytest.raises(ConfigError) as exc:
+            cli.cmd_massbound(cli.parse_config(path), args)
+        assert exc.value.field == "run.r_inner"
+        assert cli.main(["massbound", "--config", path]) == 2
+        assert "run.r_inner" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, key, value", [
         ("constraints", "samples", "x"),

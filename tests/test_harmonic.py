@@ -366,6 +366,20 @@ class TestMassBound:
         assert rep.verdict
         assert not rep.corner_hypothesis_violated
 
+    def test_sweep_extrapolates_at_its_grid_ratio(self):
+        # 16/24/32: the last pair has ratio 4/3, the one before 3/2
+        data = scenario_build("hyperbolic_negschw")
+        adm = masses.adm_energy_momentum(data, ADM_RADII)
+        rep, _ = mass_bound_sweep(data, adm, resolutions=(16, 24, 32),
+                                  L=10.0)
+        conv = rep.grid_convergence
+        coarse, fine = [s for _, s in
+                        rep.diagnostics["slacks_by_resolution"][1:]]
+        assert conv.ratio == 32 / 24
+        assert conv.extrapolated == pytest.approx(
+            (conv.ratio * fine - coarse) / (conv.ratio - 1.0), rel=1e-12)
+        assert np.isnan(conv.observed_order)
+
     def test_counterexample_books(self):
         data = scenario_build("hyperbolic_negschw")
         adm = masses.adm_energy_momentum(data, ADM_RADII)

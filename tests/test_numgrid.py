@@ -84,6 +84,27 @@ class TestRichardson:
         assert rep.observed_order == pytest.approx(2.0, abs=1e-12)
 
 
+    def test_ratio_one_and_a_half(self):
+        # exactly 3 + 5 h^2 at n = 32, 48, 72: the pair is extrapolated at
+        # its own ratio 1.5, and both ratios agree, so the order shows
+        v = [3.0 + 5.0 / n ** 2 for n in (32, 48, 72)]
+        rep = numgrid.richardson(v[1], v[2], 2.0, third_coarsest=v[0],
+                                 ratio=72 / 48, third_ratio=48 / 32)
+        assert rep.ratio == 1.5
+        assert rep.extrapolated == pytest.approx(3.0, abs=1e-14)
+        assert rep.observed_order == pytest.approx(2.0, abs=1e-9)
+        # the grid ratio of 2 assumed before misses the limit by 5.6e-4
+        assert abs(numgrid.richardson(v[1], v[2], 2.0).extrapolated
+                   - 3.0) > 5e-4
+
+    def test_unequal_ratios_give_no_order(self):
+        v = [3.0 + 5.0 / n ** 2 for n in (32, 48, 64)]
+        rep = numgrid.richardson(v[1], v[2], 2.0, third_coarsest=v[0],
+                                 ratio=64 / 48, third_ratio=48 / 32)
+        assert np.isnan(rep.observed_order)
+        assert rep.extrapolated == pytest.approx(3.0, abs=1e-14)
+
+
 class TestFindRoot:
     def test_linear(self):
         assert numgrid.find_root(lambda r: r - 2.0, (1.0, 3.0)) == \
@@ -137,6 +158,18 @@ class TestFindRoot:
         assert numgrid.find_root(lambda x: x - 1.0, (1.0, 2.0)) == 1.0
         assert numgrid.find_root(lambda x: x - 1.0, (0.0, 1.0)) == 1.0
         assert numgrid.find_root(np.sin, (0.0, 1.0)) == 0.0
+
+
+class TestAxisymGrid:
+    @pytest.mark.parametrize("M", [8, 9, 16, 33, 48, 64, 128])
+    def test_x_exactly_odd(self, M):
+        grid = numgrid.AxisymGrid.build(np.linspace(1.0, 2.0, 8), M)
+        x = grid.x
+        assert np.array_equal(x[::-1], -x)
+        assert x[0] == 1.0 and x[-1] == -1.0
+        if M % 2 == 0:
+            assert x[M // 2] == 0.0
+        assert np.max(np.abs(x - np.cos(grid.theta))) <= np.finfo(float).eps
 
 
 def _flat_laplace_setup(n_r=16, n_theta=16, r_in=1.0, r_out=4.0):
@@ -278,6 +311,90 @@ class TestSeparatedSolveOracle:
                 / np.sqrt(coeffs.corner_plus[i]["lam"])
             assert np.max(np.abs(minus - plus)) <= 1e-9 * np.max(
                 np.abs(minus))
+
+
+    @pytest.mark.parametrize("name, params, corners, centre", [
+        ("hyperbolic_negschw", {}, 1, True),
+        ("schwarzschild", {"m": 1.0}, 0, False),
+        ("flat", {}, 0, True),
+    ], ids=["negschw", "schwarzschild", "flat"])
+    def test_correction_step_matches_dense_solve(self, monkeypatch, name,
+                                                 params, corners, centre):
+        # one solve of the correction from a start: from the solution
+        # itself, and from a start off by a field as large as the
+        # solution, it lands on the dense solution within the bounds of
+        # the plain solve
+        from oracles import dense_elliptic_solve
+        _, op = self._operator(name, **params)
+        solves = []
+        solve = op.solve
+        monkeypatch.setattr(op, "solve", lambda b: solves.append(1)
+                            or solve(b))
+        rng = np.random.default_rng(7)
+        source = rng.standard_normal(op.fixed.shape)
+        boundary = rng.standard_normal(op.fixed.shape)
+        v, A, b = dense_elliptic_solve(op, source, boundary)
+        dense = v[:op.fixed.size].reshape(op.fixed.shape)
+        bound = 10.0 * np.linalg.cond(A) * np.finfo(float).eps \
+            * np.max(np.abs(v))
+        for start in (dense, dense + rng.standard_normal(dense.shape)):
+            u, info = numgrid.solve_linear_elliptic(op, source, boundary,
+                                                    start=start)
+            assert np.max(np.abs(u - dense)) <= bound
+            assert info["residual"] <= 1e-12 * np.max(np.abs(A)) \
+                * np.max(np.abs(v))
+            assert np.array_equal(u[op.fixed], boundary[op.fixed])
+        assert len(solves) == 2 and op.factorizations == 1
+
+
+class TestMirrorEig:
+    """The split eigenproblem of the reduced angular matrix against one
+    eigenproblem of the whole matrix, on the solver's own grids."""
+
+    @staticmethod
+    def _operator(n):
+        # negschw's operator with n angular cells (the angular matrix
+        # depends on the grid's x alone)
+        from cornermass.corner import scenario_build
+        from cornermass.harmonic.fields import (build_coefficients,
+                                                build_solver_grid)
+        from cornermass.harmonic.solver import _assemble_operator
+        data = scenario_build("hyperbolic_negschw")
+        coeffs = build_coefficients(data, build_solver_grid(data, 16, n,
+                                                            30.0))
+        return _assemble_operator(coeffs, "center")
+
+    @pytest.mark.parametrize("n", [16, 17, 32, 48, 64, 128])
+    def test_matches_full_eig_oracle(self, n):
+        from oracles import full_eig
+        op = self._operator(n)
+        Xr = op.reduced_angular()
+        assert Xr.shape == (n - 1, n - 1)
+        assert np.array_equal(Xr, Xr[::-1, ::-1])
+        lam, V, Vinv, cond = numgrid.mirror_eig(Xr)
+        lam_full, _, _, cond_full = full_eig(Xr)
+        scale = np.max(np.abs(lam_full))
+        assert np.max(np.abs(np.sort(lam) - np.sort(lam_full))) \
+            <= 1e-13 * scale
+        assert np.max(np.abs(Xr @ V - V * lam)) <= 1e-13 * scale
+        assert np.max(np.abs(V @ Vinv - np.eye(n - 1))) <= 1e-13
+        assert abs(cond - np.linalg.cond(V)) <= 1e-12
+        assert cond == pytest.approx(cond_full, rel=1e-12)
+        # the operator's factor is this decomposition
+        f = op.factor()
+        assert np.array_equal(f.V, V) and np.array_equal(f.Vinv, Vinv)
+        assert op.eigvec_cond == cond
+
+    def test_matrix_not_its_flip_is_refused(self):
+        op = self._operator(16)
+        Xr = op.reduced_angular()
+        Xr[0, 1] *= 1.0 + 1e-12
+        with pytest.raises(SingularFactorError, match="mirror"):
+            numgrid.mirror_eig(Xr)
+        op.angular[0, 2] *= 1.0 + 1e-12
+        with pytest.raises(SingularFactorError, match="mirror"):
+            op.factor()
+        assert op.factorizations == 0
 
 
 class TestDeterminism:
