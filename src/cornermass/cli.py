@@ -6,18 +6,24 @@ Usage:
                 [--config PATH] [--out PATH] [--csv PATH]
                 [--deterministic] [--filter NAME] [--golden PATH]
 
+Options go before or after the command, each spelled in full (no
+abbreviations such as ``--det``), with its value as the next argument
+or after ``=`` (``--out report.json`` or ``--out=report.json``).
+``-h``/``--help`` prints the usage and exits 0; any other argument line
+that does not fit exits 2 with the usage and the offending argument on
+stderr.
+
 Config files are flat ``key = value`` text with ``[section]`` headers;
 keys are namespaced as ``section.key``.  Reports are versioned JSON
 (schema shipped in cornermass/schema/); curves export as CSV with a
 header row, comma separator and decimal point.
 
-Exit codes: 0 success / verdict pass, 1 verdict fail, 2 config error,
-3 numerical failure.
+Exit codes: 0 success / verdict pass, 1 verdict fail, 2 config error or
+bad argument line, 3 numerical failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv as _csv
 import dataclasses
 import json
@@ -25,6 +31,7 @@ import math
 import re
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +134,16 @@ def _positive(v):
     return v > 0
 
 
+def _choice(cfg, key, default, choices):
+    """``cfg[key]`` (else ``default``), which must be one of the strings
+    ``choices``; any other value raises a ConfigError naming the key."""
+    value = _get(cfg, key, default)
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigError(f"{key} must be one of {', '.join(choices)}, "
+                          f"not {value!r}", field=key)
+    return value
+
+
 def _scenario_from_config(cfg):
     name = _get(cfg, "run.scenario", required=True)
     params = {}
@@ -152,30 +169,74 @@ def _scenario_from_config(cfg):
 # Report envelope
 # ---------------------------------------------------------------------------
 
-def _jsonable(obj):
+_encode = json.encoder.encode_basestring_ascii
+_FIELD_KEYS = {}        # report dataclass -> its sorted (name, '"name": ')
+
+
+def _field_keys(cls):
+    """(name, its JSON key and separator) for the sorted fields of a
+    dataclass; None for any other type."""
+    try:
+        return _FIELD_KEYS[cls]
+    except KeyError:
+        keys = [(n, _encode(n) + ": ") for n in
+                sorted(f.name for f in dataclasses.fields(cls))] \
+            if dataclasses.is_dataclass(cls) else None
+        _FIELD_KEYS[cls] = keys
+        return keys
+
+
+def _float_text(v):
+    """A float as a JSON number, NaN and the infinities as json writes
+    them."""
+    if math.isfinite(v):
+        return float.__repr__(v)
+    return "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
+
+
+def _dump(obj, nl):
+    """The JSON text of a report value, indented by two spaces with sorted
+    keys; ``nl`` is a newline plus the indentation of the line the value
+    starts on.  Dataclasses are written field by field, arrays of more
+    than 64 elements as {n, min, max} (``_float_text`` numbers), other
+    arrays as lists, other non-finite floats as their repr string and
+    keys as strings."""
     # floats first: they are most of every report
     if isinstance(obj, (float, np.floating)):
         v = float(obj)
-        return v if math.isfinite(v) else repr(v)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        # field by field: dataclasses.asdict would deep-copy every value
-        # first, which costs more than the whole certificate sweep
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if obj.size > 64:
-            return {"n": int(obj.size), "min": float(np.min(obj)),
-                    "max": float(np.max(obj))}
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        return float.__repr__(v) if math.isfinite(v) else _encode(repr(v))
+    if isinstance(obj, str):
+        return _encode(obj)
+    inner = nl + "  "
+    keys = _field_keys(type(obj))
+    if keys is not None:
+        items = [key + _dump(getattr(obj, n), inner) for n, key in keys]
+    elif isinstance(obj, dict):
+        items = [_encode(k) + ": " + _dump(v, inner) for k, v in
+                 sorted({str(k): v for k, v in obj.items()}.items())]
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join(
+            [_dump(v, inner) for v in obj]) + nl + "]"
+    elif isinstance(obj, np.ndarray):
+        if obj.size <= 64:
+            return _dump(obj.tolist(), nl)
+        items = [f'"max": {_float_text(float(np.max(obj)))}',
+                 f'"min": {_float_text(float(np.min(obj)))}',
+                 f'"n": {obj.size}']
+    elif isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    elif isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    elif obj is None:
+        return "null"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                        f"serializable")
+    if not items:
+        return "{}"
+    return "{" + inner + ("," + inner).join(items) + nl + "}"
 
 
 def make_envelope(command, cfg, reports, verdicts, t0, deterministic):
@@ -184,9 +245,9 @@ def make_envelope(command, cfg, reports, verdicts, t0, deterministic):
         "tool": "corner-mass",
         "version": __version__,
         "command": command,
-        "config": _jsonable(cfg),
-        "reports": _jsonable(reports),
-        "verdicts": _jsonable(verdicts),
+        "config": cfg,
+        "reports": reports,
+        "verdicts": verdicts,
     }
     if not deterministic:
         env["timing_seconds"] = round(time.time() - t0, 3)
@@ -194,7 +255,9 @@ def make_envelope(command, cfg, reports, verdicts, t0, deterministic):
 
 
 def emit(envelope, out_path):
-    text = json.dumps(envelope, indent=2, sort_keys=True)
+    """Write the envelope as JSON (two-space indent, sorted keys) to
+    ``out_path``, or to stdout."""
+    text = _dump(envelope, "\n")
     if out_path:
         Path(out_path).write_text(text + "\n", encoding="utf-8")
     else:
@@ -306,7 +369,8 @@ def cmd_quasilocal(cfg, args):
     data = _scenario_from_config(cfg)
     r0 = _number(cfg, "quasilocal.r0", ok=_positive,
                  need="a positive radius", required=True)
-    side = _get(cfg, "quasilocal.side", "auto")
+    side = _choice(cfg, "quasilocal.side", "auto",
+                   ("auto", "minus", "plus"))
     omega_tan = _number(cfg, "quasilocal.omega_tan", 0.0)
     ql = masses.quasilocal(data, r0, side=side, omega_tan=omega_tan)
     reports = {"quasilocal": ql, "scenario": data.name}
@@ -488,23 +552,81 @@ _COMMANDS = {
 }
 
 
+USAGE = """\
+usage: corner-mass <constraints|massbound|quasilocal|certificate|regress>
+                   [--config PATH] [--out PATH] [--csv PATH]
+                   [--deterministic] [--filter NAME] [--golden PATH]"""
+
+HELP = USAGE + """
+
+Numerics for asymptotically flat initial data with corners: constraints,
+the mass inequality, quasilocal energies, extensions and fill-in
+certificates.
+
+options (each as --name VALUE or --name=VALUE, before or after the command):
+  --config PATH     key = value config file
+  --out PATH        write the JSON report here
+  --csv PATH        write curve/field CSV here (massbound: field
+                    (r,theta,u,|grad u|); quasilocal: extension (r,f,Q);
+                    certificate: sweep)
+  --deterministic   byte-stable output: no timings
+  --filter NAME     regress: only names containing this
+  --golden PATH     regress: alternative golden file
+  -h, --help        show this help and exit"""
+
+_VALUE_OPTIONS = ("--config", "--out", "--csv", "--filter", "--golden")
+
+
+class UsageError(ValueError):
+    """A command line that ``parse_args`` does not accept."""
+
+
+def parse_args(argv):
+    """The command and options of a ``corner-mass`` argument list, as a
+    namespace with ``command``, ``deterministic`` and the five value
+    options (None when not given), or None for ``-h``/``--help``.
+    Options are spelled in full, before or after the command; a value
+    follows as the next argument or after ``=``.  Anything else raises
+    UsageError naming the argument."""
+    args = types.SimpleNamespace(
+        command=None, deterministic=False,
+        **{opt[2:]: None for opt in _VALUE_OPTIONS})
+    pending = iter(argv)
+    for arg in pending:
+        if arg in ("-h", "--help"):
+            return None
+        if not arg.startswith("-"):
+            if args.command is not None:
+                raise UsageError(f"unexpected argument {arg!r}")
+            if arg not in _COMMANDS:
+                raise UsageError(f"unknown command {arg!r}")
+            args.command = arg
+            continue
+        name, eq, value = arg.partition("=")
+        if name == "--deterministic" and not eq:
+            args.deterministic = True
+        elif name in _VALUE_OPTIONS:
+            if not eq:
+                value = next(pending, None)
+                if value is None or value.startswith("-"):
+                    raise UsageError(f"option {name} needs a value")
+            setattr(args, name[2:], value)
+        else:
+            raise UsageError(f"unknown option {arg!r}")
+    if args.command is None:
+        raise UsageError("missing command")
+    return args
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="corner-mass",
-        description="Numerics for asymptotically flat initial data with "
-                    "corners: constraints, the mass inequality, quasilocal "
-                    "energies, extensions and fill-in certificates.")
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--out", help="write the JSON report here")
-    parser.add_argument("--csv", help="write curve/field CSV here "
-                        "(massbound: field (r,theta,u,|grad u|); "
-                        "quasilocal: extension (r,f,Q); certificate: sweep)")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="byte-stable output: no timings")
-    parser.add_argument("--filter", help="regress: only names containing this")
-    parser.add_argument("--golden", help="regress: alternative golden file")
-    args = parser.parse_args(argv)
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(f"{USAGE}\ncorner-mass: error: {exc}", file=sys.stderr)
+        return 2
+    if args is None:
+        print(HELP)
+        return 0
 
     t0 = time.time()
     cfg = {}

@@ -658,6 +658,31 @@ class EllipticOperator:
             out += self.radial[:, o, None] * pad[o:o + N]
         return out
 
+    def _known_rows(self, u):
+        """``_ring_rows(u)`` on the free rings for a u that is zero except
+        on the fixed rings and the axis columns: the angular product of
+        the axis values (one per column, as each angular row reaches at
+        most one axis column) and the radial terms of the free rings
+        within two rings of a fixed one, added in ``_ring_rows``' order
+        without its zero terms, so bit for bit the same values."""
+        free, N = self._free, u.shape[0]
+        lo, hi = free.start, free.stop
+        X = self.angular
+        out = self.ring_scale[free, None] * (
+            u[free, 0, None] * X[:, 0] + u[free, -1, None] * X[:, -1])
+        for o, d in enumerate(range(-2, 3)):
+            # the free rings i whose ring i + d is a fixed one
+            if d < 0:
+                a, b = max(lo, -d), min(hi, lo - d)
+            elif d > 0:
+                a, b = max(lo, hi - d), min(hi, N - d)
+            else:
+                continue
+            if a < b:
+                out[a - lo:b - lo] += self.radial[a:b, o, None] \
+                    * u[a + d:b + d, 1:-1]
+        return out
+
     def apply(self, v):
         """A v for a vector of ``n_unknowns`` values."""
         v = np.asarray(v, dtype=float)
@@ -756,7 +781,7 @@ class EllipticOperator:
         u = np.zeros(shape)
         u[self.fixed] = nodes[self.fixed]
         u[free, 0], u[free, -1] = nodes[free, 0], nodes[free, -1]
-        rhs = nodes[free, 1:-1] - self._ring_rows(u)[free]
+        rhs = nodes[free, 1:-1] - self._known_rows(u)
         w = band_solve(f.band, f.lower2, f.upper2, rhs @ f.Vinv.T)
         v = np.empty(self.n_unknowns)
         if self.centre is not None:

@@ -26,10 +26,19 @@ is numpy's own Gauss-Legendre rule, the oracle of
 column from the matrix-free ``apply`` and solves it by Gaussian
 elimination with partial pivoting, and ``full_eig`` is the eigenproblem of
 the whole reduced angular matrix that ``numgrid.mirror_eig`` splits in
-two.
+two.  ``ring_rows_full`` is the full pass over the whole field with which
+``EllipticOperator.solve`` used to move the known values to the
+right-hand side.
+
+``envelope_json`` is the two-pass writer of the report envelope, a
+conversion to plain JSON values followed by ``json.dumps``, that
+``cli.emit`` must reproduce byte for byte.
 """
 
 import csv
+import dataclasses
+import json
+import math
 
 import numpy as np
 
@@ -244,6 +253,50 @@ def full_eig(X):
     of the whole matrix, ``numpy.linalg.inv`` and ``numpy.linalg.cond``."""
     lam, V = np.linalg.eig(X)
     return lam, V, np.linalg.inv(V), float(np.linalg.cond(V))
+
+
+def ring_rows_full(operator, u):
+    """The radial plus angular rows of ``operator`` at the interior
+    columns of its free rings, by one angular matmul over every ring and
+    five shifted radial terms over the whole (N, M+1) field u."""
+    N = u.shape[0]
+    pad = np.zeros((N + 4, u.shape[1] - 2))
+    pad[2:-2] = u[:, 1:-1]
+    out = operator.ring_scale[:, None] * (u @ operator.angular.T)
+    for o in range(5):
+        out += operator.radial[:, o, None] * pad[o:o + N]
+    return out[operator._free]
+
+
+def _jsonable(obj):
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        return v if math.isfinite(v) else repr(v)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        if obj.size > 64:
+            return {"n": int(obj.size), "min": float(np.min(obj)),
+                    "max": float(np.max(obj))}
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
+
+
+def envelope_json(envelope):
+    """The JSON text of a report envelope: every value converted to plain
+    JSON values (dataclasses field by field, arrays of more than 64
+    elements as {n, min, max}, non-finite floats as their repr), then
+    ``json.dumps(indent=2, sort_keys=True)``."""
+    return json.dumps(_jsonable(envelope), indent=2, sort_keys=True)
 
 
 def csv_per_node(field, path):

@@ -87,7 +87,7 @@ r0 = 2.0
                 key: value}
         path = write(tmp_path, "r.cfg", "[run]\n" + "".join(
             f"{k} = {v}\n" for k, v in keys.items()))
-        args = cli.argparse.Namespace(csv=None)
+        args = cli.parse_args(["massbound"])
         with pytest.raises(ConfigError) as exc:
             cli.cmd_massbound(cli.parse_config(path), args)
         assert exc.value.field == f"run.{key}"
@@ -106,7 +106,7 @@ r0 = 2.0
         path = write(tmp_path, "i.cfg", f"[run]\nscenario = {scenario}\n"
                      f"resolutions = 16\ntruncation = 10\n"
                      f"r_inner = {value}\n")
-        args = cli.argparse.Namespace(csv=None)
+        args = cli.parse_args(["massbound"])
         with pytest.raises(ConfigError) as exc:
             cli.cmd_massbound(cli.parse_config(path), args)
         assert exc.value.field == "run.r_inner"
@@ -126,6 +126,145 @@ r0 = 2.0
         assert cli.main([command, "--config", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and f"run.{key}" in err
+
+    def test_quasilocal_side_must_be_a_side(self, tmp_path, capsys):
+        # a typo used to run silently as side = auto and exit 0
+        path = write(tmp_path, "q.cfg", "[run]\nscenario = schwarzschild\n"
+                     "[quasilocal]\nr0 = 5\nside = bogus\n")
+        with pytest.raises(ConfigError) as exc:
+            cli.cmd_quasilocal(cli.parse_config(path),
+                               cli.parse_args(["quasilocal"]))
+        assert exc.value.field == "quasilocal.side"
+        assert cli.main(["quasilocal", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "quasilocal.side" in err
+
+
+class TestArgumentLine:
+    @pytest.mark.parametrize("argv", [
+        ["certificate", "--config", "c.cfg", "--out", "o.json",
+         "--deterministic"],
+        ["certificate", "--config=c.cfg", "--out=o.json", "--deterministic"],
+        ["--config", "c.cfg", "--deterministic", "certificate", "--out",
+         "o.json"],
+        ["--deterministic", "--out=o.json", "--config=c.cfg", "certificate"],
+        ["--out", "x.json", "certificate", "--config", "c.cfg", "--out",
+         "o.json", "--deterministic"],
+    ], ids=["space", "equals", "options_first", "all_before", "last_wins"])
+    def test_accepted_forms(self, argv):
+        args = cli.parse_args(argv)
+        assert vars(args) == {"command": "certificate", "config": "c.cfg",
+                              "out": "o.json", "csv": None, "filter": None,
+                              "golden": None, "deterministic": True}
+
+    def test_defaults(self):
+        assert vars(cli.parse_args(["regress"])) == {
+            "command": "regress", "config": None, "out": None, "csv": None,
+            "filter": None, "golden": None, "deterministic": False}
+        args = cli.parse_args(["regress", "--filter=a=b", "--golden", "g"])
+        assert (args.filter, args.golden) == ("a=b", "g")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_exits_0(self, capsys, flag):
+        assert cli.main(["certificate", flag]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(cli.USAGE) and "--deterministic" in out
+        assert err == ""
+
+    @pytest.mark.parametrize("argv, culprit", [
+        (["bogus"], "'bogus'"),
+        (["certificate", "--bogus"], "'--bogus'"),
+        (["certificate", "--config"], "--config"),
+        (["certificate", "--out", "--deterministic"], "--out"),
+        (["certificate", "--det"], "'--det'"),
+        (["certificate", "--deterministic=1"], "'--deterministic=1'"),
+        (["certificate", "regress"], "'regress'"),
+        (["--deterministic"], "missing command"),
+    ], ids=["unknown_command", "unknown_option", "missing_value",
+            "option_as_value", "abbreviation", "flag_with_value",
+            "two_commands", "no_command"])
+    def test_bad_argument_line_exits_2(self, capsys, argv, culprit):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(cli.USAGE + "\ncorner-mass: error: ")
+        assert culprit in err.splitlines()[-1]
+        assert "Traceback" not in err
+
+
+class TestEnvelope:
+    """``emit`` against the two-pass writer of ``oracles.envelope_json``,
+    byte for byte."""
+
+    CONFIGS = {
+        "constraints": "[run]\nscenario = hyperbolic_negschw\nsamples = 8\n",
+        "massbound": "[run]\nscenario = hyperbolic_negschw\n"
+                     "resolutions = 12 16\ntruncation = 10.0\n",
+        "quasilocal": "[run]\nscenario = schwarzschild\n[scenario]\nm = 1.0\n"
+                      "[quasilocal]\nr0 = 4.0\nhull_radii = 2.6 3.0 3.5\n",
+        "certificate": "[certificate]\nr0 = 1.3\nh_eff_sweep = 0.5 4.0 9\n",
+        "regress": None,
+    }
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    @pytest.mark.parametrize("deterministic", [True, False],
+                             ids=["deterministic", "timed"])
+    def test_command_envelopes(self, tmp_path, monkeypatch, capsys,
+                               command, deterministic):
+        from oracles import envelope_json
+        seen = []
+        emit = cli.emit
+        monkeypatch.setattr(cli, "emit", lambda env, out: seen.append(env)
+                            or emit(env, out))
+        out = tmp_path / "r.json"
+        argv = [command, "--out", str(out)]
+        if self.CONFIGS[command] is not None:
+            argv += ["--config", write(tmp_path, "c.cfg",
+                                       self.CONFIGS[command])]
+        if deterministic:
+            argv.append("--deterministic")
+        assert cli.main(argv) in (0, 1)
+        (env,) = seen
+        assert ("timing_seconds" in env) != deterministic
+        assert out.read_text(encoding="utf-8") == envelope_json(env) + "\n"
+
+    def test_edge_values(self, tmp_path, capsys):
+        from oracles import envelope_json
+        from cornermass.extension import fillin_certificate
+        inf, nan = float("inf"), float("nan")
+        big = np.linspace(-1.0, 1.0, 65)
+        env = {
+            "floats": [nan, inf, -inf, 0.0, -0.0, 1e-310, 1.5e300, 0.1],
+            "numpy": [np.float64(nan), np.float64(-inf), np.float32(0.1),
+                      np.float64(2.5), np.int64(-7), np.int32(3),
+                      np.uint8(255)],
+            "bools": [np.bool_(True), 1, True, np.bool_(False), 0, False,
+                      None],
+            "arrays": {"65": big, "64": big[:64], "65_int": np.arange(65),
+                       "65_inf": np.append(big[:64], inf),
+                       "65_nan": np.append(big[:64], nan),
+                       "2d": np.arange(6.0).reshape(2, 3),
+                       "bool": np.array([True, False]),
+                       "empty": np.zeros(0)},
+            "empty": [{}, [], (), {"a": {}, "b": [[]]}],
+            "tuples": ((1, (2.0, (nan, "x"))), [(), ((),)]),
+            "strings": ["é", "naïve ∂u/∂ν", "\u2603 \U0001f600", "tab\t\"q\"",
+                        "\x00\x1f"],
+            "keys": {1: "int", 2.5: "float", None: "none", False: "bool",
+                     (1, 2): "tuple", "ünï": "str", "b": 0, "a": 1},
+            "same_key": {1: "int", "1": "str"},
+            "dataclass": [fillin_certificate(1.0, 3.0),
+                          {"nested": fillin_certificate(2.0, 0.5)}],
+        }
+        out = tmp_path / "e.json"
+        cli.emit(env, str(out))
+        assert out.read_text(encoding="utf-8") == envelope_json(env) + "\n"
+        cli.emit(env, None)
+        assert capsys.readouterr().out == envelope_json(env) + "\n"
+
+    def test_unserializable_value_raises(self):
+        with pytest.raises(TypeError, match="set"):
+            cli.emit({"x": {1, 2}}, None)
 
 
 class TestCommands:
@@ -282,14 +421,17 @@ truncation = 12.0
 class TestImportPath:
     @staticmethod
     def _loaded(code, cwd=None, package="scipy"):
-        """Sorted modules of ``package`` loaded after running ``code`` in a
-        fresh interpreter that imports the package from this source tree."""
+        """Sorted modules of ``package`` (a name or a tuple of names)
+        loaded after running ``code`` in a fresh interpreter that imports
+        cornermass from this source tree."""
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
+        names = (package,) if isinstance(package, str) else package
+        prefixes = tuple(name + "." for name in names)
         code += ("\nimport json, sys\nprint(json.dumps(sorted(m for m in "
-                 f"sys.modules if (m + '.').startswith({package!r} + '.'))))")
+                 f"sys.modules if (m + '.').startswith({prefixes!r}))))")
         out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                              capture_output=True, text=True, check=True)
         return json.loads(out.stdout.splitlines()[-1])
@@ -335,6 +477,18 @@ hull_radii = 2.6 3.0 3.5
                 if re.search(r"(numpy|np)\.polynomial|leggauss",
                              p.read_text(encoding="utf-8"))]
         assert hits == []
+
+    def test_certificate_loads_no_argparse_or_locale(self, tmp_path):
+        # the argument line is parsed by hand: argparse, and the gettext
+        # and locale modules of its first message lookup, stay unloaded
+        write(tmp_path, "c.cfg", "[certificate]\nr0 = 1.0\n"
+              "h_eff_sweep = 0.5 4.0 8\n")
+        loaded = self._loaded(
+            "import cornermass.cli as c\n"
+            "assert c.main(['certificate', '--config', 'c.cfg', "
+            "'--out', 'c.json']) == 0", cwd=tmp_path,
+            package=("argparse", "gettext", "locale"))
+        assert loaded == []
 
     def test_massbound_loads_no_scipy(self, tmp_path):
         write(tmp_path, "m.cfg", """

@@ -346,6 +346,59 @@ class TestSeparatedSolveOracle:
             assert np.array_equal(u[op.fixed], boundary[op.fixed])
         assert len(solves) == 2 and op.factorizations == 1
 
+    @staticmethod
+    def _known_field(op, rng):
+        """A field that is zero except on the fixed rings and on the axis
+        columns of the free rings."""
+        u = np.zeros(op.fixed.shape)
+        u[op.fixed] = rng.standard_normal(op.fixed.sum())
+        free = op._free
+        u[free, 0], u[free, -1] = rng.standard_normal((2, free.stop
+                                                       - free.start))
+        return u
+
+    @pytest.mark.parametrize("name, params", [
+        ("hyperbolic_negschw", {}),
+        ("schwarzschild", {"m": 1.0}),
+        ("flat", {}),
+    ], ids=["negschw", "schwarzschild", "flat"])
+    def test_known_rows_match_full_pass(self, monkeypatch, name, params):
+        # negschw has a centre and a corner, schwarzschild a Dirichlet
+        # inner ring and flat a centre: the sparse pass over the known
+        # values equals the full pass bit for bit, and so does the solve
+        from oracles import ring_rows_full
+        _, op = self._operator(name, **params)
+        rng = np.random.default_rng(11)
+        u = self._known_field(op, rng)
+        assert np.array_equal(op._known_rows(u), ring_rows_full(op, u))
+        b = rng.standard_normal(op.n_unknowns)
+        v = op.solve(b)
+        monkeypatch.setattr(op, "_known_rows",
+                            lambda u: ring_rows_full(op, u))
+        assert np.array_equal(op.solve(b), v)
+
+    @pytest.mark.parametrize("inner, outer", [(2, 2), (1, 2), (0, 1)])
+    def test_known_rows_full_radial_band(self, inner, outer):
+        # every radial diagonal nonzero and up to two fixed rings at each
+        # end, so a free ring next to them takes two radial terms (the
+        # solver's operators have zero outer diagonals on those rings);
+        # three terms meet only in the edge columns, so many fields are
+        # needed to see an order of summation
+        from oracles import ring_rows_full
+        rng = np.random.default_rng(5)
+        N, M = 12, 10
+        angular = np.zeros((M - 1, M + 1))
+        for j in range(M - 1):
+            angular[j, j:j + 3] = rng.standard_normal(3)
+        fixed = np.zeros((N, M + 1), dtype=bool)
+        fixed[:inner] = fixed[N - outer:] = True
+        op = numgrid.EllipticOperator(
+            rng.standard_normal((N, 5)), rng.uniform(0.5, 2.0, N), angular,
+            (rng.standard_normal(3), rng.standard_normal(3)), fixed, ~fixed)
+        for _ in range(200):
+            u = self._known_field(op, rng)
+            assert np.array_equal(op._known_rows(u), ring_rows_full(op, u))
+
 
 class TestMirrorEig:
     """The split eigenproblem of the reduced angular matrix against one
