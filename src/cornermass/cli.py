@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv as _csv
 import dataclasses
+import gc
 import json
 import math
 import re
@@ -37,9 +38,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (ConfigError, CornerMassError, HypothesisError,
-                     IntegrationDivergedError, PicardStagnationError,
-                     SingularFactorError)
+from .errors import (ConfigError, CornerMassError, DomainError,
+                     HypothesisError, IntegrationDivergedError,
+                     PicardStagnationError, SingularFactorError)
 from . import corner, extension, geometry, masses
 from .harmonic import (SolveOptions, build_solver_grid, mass_bound_sweep,
                        solve_spacetime_harmonic)
@@ -345,10 +346,13 @@ def cmd_massbound(cfg, args):
     picard_tol = _number(cfg, "run.picard_tol", 1e-9, ok=_positive,
                          need="a positive number")
     radii = _number(cfg, "run.adm_radii", [50.0, 100.0, 200.0], many=True,
-                    ok=lambda rs: len(rs) >= 2 and min(rs) > 0
-                    and rs == sorted(rs),
-                    need="an increasing list of two or more positive radii")
-    adm = masses.adm_energy_momentum(data, radii)
+                    ok=lambda rs: masses.geometric_ratio(rs) is not None,
+                    need="a strictly increasing geometric list of two or "
+                    "more positive radii")
+    try:
+        adm = masses.adm_energy_momentum(data, radii)
+    except DomainError as exc:
+        raise ConfigError(f"run.adm_radii: {exc}", field="run.adm_radii")
     opts = SolveOptions(delta=delta, direction=direction,
                         picard_tol=picard_tol)
     rep, finest = mass_bound_sweep(
@@ -372,7 +376,12 @@ def cmd_quasilocal(cfg, args):
     side = _choice(cfg, "quasilocal.side", "auto",
                    ("auto", "minus", "plus"))
     omega_tan = _number(cfg, "quasilocal.omega_tan", 0.0)
-    ql = masses.quasilocal(data, r0, side=side, omega_tan=omega_tan)
+    try:
+        ql = masses.quasilocal(data, r0, side=side, omega_tan=omega_tan)
+    except DomainError as exc:         # r0 outside the data or on a corner
+        key = "quasilocal.side" if side == "auto" and data.is_corner(r0) \
+            else "quasilocal.r0"
+        raise ConfigError(f"{key}: {exc}", field=key)
     reports = {"quasilocal": ql, "scenario": data.name}
     verdicts = {"W_nonnegative": ql.W >= -1e-12}
     pipe = None
@@ -391,7 +400,11 @@ def cmd_quasilocal(cfg, args):
     hull = _number(cfg, "quasilocal.hull_radii", many=True,
                    ok=lambda rs: min(rs) > 0, need="positive radii")
     if hull is not None:
-        comp = masses.comparison_check(ql, data, hull)
+        try:
+            comp = masses.comparison_check(ql, data, hull)
+        except DomainError as exc:
+            raise ConfigError(f"quasilocal.hull_radii: {exc}",
+                              field="quasilocal.hull_radii")
         reports["comparison"] = comp
         verdicts["comparison_applicable"] = comp.applicable
         verdicts["comparison_ok"] = comp.all_ok
@@ -630,10 +643,16 @@ def main(argv=None):
 
     t0 = time.time()
     cfg = {}
+    # collections during the command skip the imports' objects, so its
+    # time does not hang on where the collector's counters stood then
+    gc.freeze()
     try:
         if args.config:
             cfg = parse_config(args.config)
         reports, verdicts, code = _COMMANDS[args.command](cfg, args)
+        emit(make_envelope(args.command, cfg, reports, verdicts, t0,
+                           args.deterministic), args.out)
+        return code
     except ConfigError as exc:
         loc = f" (line {exc.line})" if exc.line else ""
         print(f"config error{loc}: {exc}", file=sys.stderr)
@@ -648,10 +667,8 @@ def main(argv=None):
     except CornerMassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    envelope = make_envelope(args.command, cfg, reports, verdicts, t0,
-                             args.deterministic)
-    emit(envelope, args.out)
-    return code
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -17,6 +17,10 @@ stencil, with one-sided values kept per side), so kinks in the profiles
 are never differenced.  The weights depend only on the grid, so each
 GridCoefficients builds its tables once (``DerivativeStencils``).
 
+Every coefficient, derivative and Hessian array holds the minus-side
+limit at corner rings; the plus side is a second whole array, equal off
+those rings (``GridCoefficients.side``, ``side="plus"`` on the fields).
+
 Covariant Hessian, orthonormal frame (e_s, e_th, e_ph):
 
     T_ss = (u_ss - (lam'/2 lam) u_s) / lam
@@ -193,22 +197,11 @@ class DerivativeStencils:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class GridCoefficients:
-    """Chart and matter data on the grid nodes, side-aware at corners.
+class SideCoefficients:
+    """Chart and matter arrays on the radial nodes, with one side's limit
+    at the corner rings: lam, lam', sqrt(lam), rho, rho', the extrinsic
+    curvature components a and b, K = tr k, mu and J(e_s)."""
 
-    Main arrays hold the minus-side limit at corner nodes;
-    ``corner_plus[i]`` holds plus-side values.  ``segments`` are inclusive
-    (lo, hi) node-index ranges of the smooth pieces; every radial stencil
-    is built inside one segment, and ``stencils`` holds the grid's
-    derivative tables, built once here.  In the areal chart f = 1/lam is
-    kept alongside for the boundary-identity checkers.
-    """
-
-    data: GluedDataSet
-    grid: AxisymGrid
-    chart: str
-    segments: List[Tuple[int, int]]
-    corner_indices: List[int]
     lam: np.ndarray
     lamp: np.ndarray
     sqlam: np.ndarray
@@ -219,19 +212,40 @@ class GridCoefficients:
     K: np.ndarray
     mu: np.ndarray
     Jn: np.ndarray
-    f: np.ndarray
-    fp: np.ndarray
-    sqf: np.ndarray
-    corner_plus: Dict[int, Dict[str, float]]
-    stencils: DerivativeStencils = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.stencils = DerivativeStencils(self.grid, self.segments)
 
     @property
     def volume_density(self):
         """sqrt(lam) rho^2: radial density of dV against ds dx dphi."""
         return self.sqlam * self.rho * self.rho
+
+
+@dataclass
+class GridCoefficients(SideCoefficients):
+    """Chart and matter data on the grid nodes, one whole array per side
+    of the corners: the inherited arrays hold the minus-side limit at
+    corner rings, ``plus`` the plus-side one (equal elsewhere), and
+    ``side(side)`` reads either.  ``segments`` are inclusive (lo, hi)
+    node-index ranges of the smooth pieces; every radial stencil is built
+    inside one segment, and ``stencils`` holds the grid's derivative
+    tables, built once here.  No areal copy of the metric is kept: the
+    areal f is 1/lam.
+    """
+
+    data: GluedDataSet
+    grid: AxisymGrid
+    chart: str
+    segments: List[Tuple[int, int]]
+    corner_indices: List[int]
+    plus: SideCoefficients
+    stencils: DerivativeStencils = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.stencils = DerivativeStencils(self.grid, self.segments)
+
+    def side(self, side):
+        """The coefficients with the ``side`` ('minus' or 'plus') limit at
+        the corner rings."""
+        return self.plus if side == "plus" else self
 
 
 def _areal_vals(data, rr, patch):
@@ -241,8 +255,7 @@ def _areal_vals(data, rr, patch):
     b = patch.bv(rr)
     _, mu, Jn = constraint_densities(patch, rr)
     trk = a + 2 * b
-    return dict(f=f, fp=fp, sqf=np.sqrt(f),
-                lam=1.0 / f, lamp=-fp / (f * f), sqlam=1.0 / np.sqrt(f),
+    return dict(lam=1.0 / f, lamp=-fp / (f * f), sqlam=1.0 / np.sqrt(f),
                 rho=rr, rhop=np.ones_like(rr),
                 a=a, b=b, K=trk, mu=mu, Jn=Jn)
 
@@ -251,18 +264,18 @@ def build_coefficients(data: GluedDataSet, grid: AxisymGrid,
                        chart=None) -> GridCoefficients:
     """Sample chart and matter profiles on the grid.
 
-    chart='areal' reads the glued patches; chart='isotropic' uses the
-    attached conformally flat chart (vacuum time-symmetric data).  The
-    default follows the grid: isotropic when the data has a chart and the
-    grid extends inside its minimal sphere.
+    chart='areal' reads the glued patches, each smooth segment from the
+    patch it lies in: a corner ring's minus side ends the segment inside
+    it, its plus side starts the one outside.  chart='isotropic' uses the
+    attached conformally flat chart (vacuum time-symmetric data, no
+    corners).  The default follows the grid: isotropic when the data has
+    a chart and the grid extends inside its minimal sphere.
     """
     s = grid.r
     if chart is None:
         chart = "areal"
         if data.chart is not None and s[0] < data.r_min:
             chart = "isotropic"
-    names = ("lam", "lamp", "sqlam", "rho", "rhop", "a", "b", "K",
-             "mu", "Jn", "f", "fp", "sqf")
 
     if chart == "isotropic":
         m = float(data.chart.mass)
@@ -275,11 +288,11 @@ def build_coefficients(data: GluedDataSet, grid: AxisymGrid,
         zeros = np.zeros_like(s)
         arrays = dict(lam=lam, lamp=lamp, sqlam=psi * psi, rho=rho,
                       rhop=rhop, a=zeros, b=zeros, K=zeros, mu=zeros,
-                      Jn=zeros, f=1.0 / lam, fp=zeros, sqf=1.0 / (psi * psi))
+                      Jn=zeros)
         return GridCoefficients(
             data=data, grid=grid, chart=chart,
             segments=[(0, s.size - 1)], corner_indices=[],
-            corner_plus={}, **arrays)
+            plus=SideCoefficients(**arrays), **arrays)
 
     N = s.size
     corner_idx = []
@@ -292,27 +305,19 @@ def build_coefficients(data: GluedDataSet, grid: AxisymGrid,
     bounds = [0] + corner_idx + [N - 1]
     segments = [(bounds[k], bounds[k + 1]) for k in range(len(bounds) - 1)]
 
-    arrays = {name: np.zeros(N) for name in names}
-    corner_plus: Dict[int, Dict[str, float]] = {}
-    for (lo, hi) in segments:
-        patch = data.patch_at(0.5 * (s[lo] + s[hi]))
-        vals = _areal_vals(data, s[lo:hi + 1], patch)
-        for name in names:
-            arrays[name][lo:hi + 1] = vals[name]
-    for k, i in enumerate(corner_idx):
-        lo, hi = segments[k]
-        vm = _areal_vals(data, s[i:i + 1],
-                         data.patch_at(0.5 * (s[lo] + s[hi])))
-        for name in names:
-            arrays[name][i] = vm[name][0]
-        lo2, hi2 = segments[k + 1]
-        vp = _areal_vals(data, s[i:i + 1],
-                         data.patch_at(0.5 * (s[lo2] + s[hi2])))
-        corner_plus[i] = {name: float(vp[name][0]) for name in names}
+    pieces = [_areal_vals(data, s[lo:hi + 1],
+                          data.patch_at(0.5 * (s[lo] + s[hi])))
+              for (lo, hi) in segments]
+    # a corner ring ends one segment (its minus side) and starts the next
+    # (its plus side)
+    minus = {name: np.concatenate([first[:1]] + [v[name][1:] for v in pieces])
+             for name, first in pieces[0].items()}
+    plus = {name: np.concatenate([v[name][:-1] for v in pieces] + [last[-1:]])
+            for name, last in pieces[-1].items()}
 
     return GridCoefficients(
         data=data, grid=grid, chart=chart, segments=segments,
-        corner_indices=corner_idx, corner_plus=corner_plus, **arrays)
+        corner_indices=corner_idx, plus=SideCoefficients(**plus), **minus)
 
 
 # ---------------------------------------------------------------------------
@@ -382,22 +387,13 @@ class AxisymField:
         """(u_s, u_ss, u_sx) rows at radial index i for the given side."""
         return tuple(a[i] for a in self._radial(side))
 
-    def _side_arrays(self, names, side):
-        c = self.coeffs
-        out = [getattr(c, n).copy() for n in names]
-        if side == "plus":
-            for i, cp in c.corner_plus.items():
-                for k, n in enumerate(names):
-                    out[k][i] = cp[n]
-        return out
-
     def gradient(self, side="minus"):
         """(u_t, q): proper radial derivative u_s/sqrt(lam) and u_theta/rho."""
         g = self.grid
         sin = np.sqrt(np.maximum(1.0 - g.x**2, 0.0))[None, :]
-        (sqlam, rho) = self._side_arrays(("sqlam", "rho"), side)
-        u_t = self._table("u_r", side) / sqlam[:, None]
-        q = -sin * self._table("u_x") / rho[:, None]
+        c = self.coeffs.side(side)
+        u_t = self._table("u_r", side) / c.sqlam[:, None]
+        q = -sin * self._table("u_x") / c.rho[:, None]
         return u_t, q
 
     def grad_norm(self, side="minus", delta=None):
@@ -412,8 +408,9 @@ class AxisymField:
         """Delta u from the same stencils used everywhere else."""
         x = self.grid.x[None, :]
         u_r, u_rr = self._table("u_r", side), self._table("u_rr", side)
-        lam, lamp, rho, rhop = [arr[:, None] for arr in self._side_arrays(
-            ("lam", "lamp", "rho", "rhop"), side)]
+        c = self.coeffs.side(side)
+        lam, lamp, rho, rhop = [arr[:, None] for arr in
+                                (c.lam, c.lamp, c.rho, c.rhop)]
         ang = ((1.0 - x * x) * self._table("u_xx")
                - 2.0 * x * self._table("u_x")) / (rho * rho)
         return (u_rr / lam
@@ -442,32 +439,41 @@ class SpacetimeHessianField:
     """Orthonormal components of the spacetime Hessian and its square.
 
     ``pure`` holds the covariant Hessian of u alone; ``full`` adds
-    |grad u| k.  Components are (rr, tt, pp, rt).
+    |grad u| k.  Components are (rr, tt, pp, rt).  Like the coefficients,
+    every array holds the minus-side limit at corner rings;
+    ``plus_norm_sq`` is |sHu|^2 with the plus-side limit there.
     """
 
     pure: Dict[str, np.ndarray]
     full: Dict[str, np.ndarray]
     grad_norm: np.ndarray
     norm_sq: np.ndarray
-    corner_plus_norm_sq: Dict[int, np.ndarray]
+    plus_norm_sq: np.ndarray
 
 
-def _hessian_components(field: AxisymField, side="minus"):
+def _side_hessian(field: AxisymField, side):
+    """(pure, full, |grad u|, |sHu|^2) with the ``side`` limit at corner
+    rings."""
     g = field.grid
     u_x, u_xx = field._table("u_x"), field._table("u_xx")
     x = g.x[None, :]
     sin = np.sqrt(np.maximum(1.0 - g.x**2, 0.0))[None, :]
     u_r, u_rr, u_rx = field._radial(side)
-    lam, lamp, sqlam, rho, rhop = [arr[:, None] for arr in
-                                   field._side_arrays(
-                                       ("lam", "lamp", "sqlam", "rho",
-                                        "rhop"), side)]
+    c = field.coeffs.side(side)
+    lam, lamp, sqlam, rho, rhop, a, b = [
+        arr[:, None] for arr in (c.lam, c.lamp, c.sqlam, c.rho, c.rhop,
+                                 c.a, c.b)]
     t_rr = (u_rr - (lamp / (2.0 * lam)) * u_r) / lam
     t_rt = -(sin / (sqlam * rho)) * (u_rx - (rhop / rho) * u_x)
     t_tt = ((1.0 - x * x) * u_xx - x * u_x) / (rho * rho) \
         + (rhop / (lam * rho)) * u_r
     t_pp = (rhop / (lam * rho)) * u_r - x * u_x / (rho * rho)
-    return dict(rr=t_rr, rt=t_rt, tt=t_tt, pp=t_pp)
+    gn = field.grad_norm_plain(side)
+    full = dict(rr=t_rr + gn * a, tt=t_tt + gn * b, pp=t_pp + gn * b,
+                rt=t_rt.copy())
+    norm_sq = (full["rr"] ** 2 + full["tt"] ** 2 + full["pp"] ** 2
+               + 2.0 * full["rt"] ** 2)
+    return dict(rr=t_rr, rt=t_rt, tt=t_tt, pp=t_pp), full, gn, norm_sq
 
 
 def spacetime_hessian(field: AxisymField,
@@ -478,30 +484,8 @@ def spacetime_hessian(field: AxisymField,
     definition; |grad u| here is the plain (unregularized) norm so the
     identity is exact.
     """
-    c = field.coeffs
-    pure = _hessian_components(field, "minus")
-    gn = field.grad_norm_plain("minus")
-    a, b = c.a[:, None], c.b[:, None]
-    full = dict(rr=pure["rr"] + gn * a, tt=pure["tt"] + gn * b,
-                pp=pure["pp"] + gn * b, rt=pure["rt"].copy())
-
-    def square(comp):
-        return (comp["rr"] ** 2 + comp["tt"] ** 2 + comp["pp"] ** 2
-                + 2.0 * comp["rt"] ** 2)
-
-    norm_sq = square(full)
-    corner_sq = {}
-    if c.corner_indices:
-        pure_p = _hessian_components(field, "plus")
-        gn_p = field.grad_norm_plain("plus")
-        for i in c.corner_indices:
-            cp = c.corner_plus[i]
-            row = dict(rr=pure_p["rr"][i] + gn_p[i] * cp["a"],
-                       tt=pure_p["tt"][i] + gn_p[i] * cp["b"],
-                       pp=pure_p["pp"][i] + gn_p[i] * cp["b"],
-                       rt=pure_p["rt"][i])
-            corner_sq[i] = (row["rr"] ** 2 + row["tt"] ** 2 + row["pp"] ** 2
-                            + 2.0 * row["rt"] ** 2)
+    pure, full, gn, norm_sq = _side_hessian(field, "minus")
+    plus_norm_sq = _side_hessian(field, "plus")[3] \
+        if field.coeffs.corner_indices else norm_sq
     return SpacetimeHessianField(pure=pure, full=full, grad_norm=gn,
-                                 norm_sq=norm_sq,
-                                 corner_plus_norm_sq=corner_sq)
+                                 norm_sq=norm_sq, plus_norm_sq=plus_norm_sq)

@@ -113,12 +113,9 @@ def boundary_formula_check(data: GluedDataSet, field: AxisymField, r_c,
         x = grid.x.copy()
         w = grid.x_weights()
         u_r, u_x, u_rr, u_rx, u_xx = _sphere_samples_from_grid(field, i, side)
-        c = field.coeffs
-        if side == "plus" and i in c.corner_plus:
-            cp = c.corner_plus[i]
-            f, fp, a_k, b_k = cp["f"], cp["fp"], cp["a"], cp["b"]
-        else:
-            f, fp, a_k, b_k = c.f[i], c.fp[i], c.a[i], c.b[i]
+        c = field.coeffs.side(side)
+        f, fp = 1.0 / c.lam[i], -c.lamp[i] / c.lam[i] ** 2
+        a_k, b_k = c.a[i], c.b[i]
         r_c = float(grid.r[i])
 
     sqf = np.sqrt(f)
@@ -260,7 +257,7 @@ def integral_formula_check(data: GluedDataSet, field: AxisymField,
     w_r = np.zeros(rr.size)
     w_r[:-1] += 0.5 * dr
     w_r[1:] += 0.5 * dr
-    vol = 2.0 * np.pi * (rr**2 / np.sqrt(c.f[sl]))[:, None] \
+    vol = 2.0 * np.pi * c.volume_density[sl, None] \
         * w_r[:, None] * w_x[None, :]
     integrand = (0.5 * hes.norm_sq[sl] / gnd[sl]
                  + c.mu[sl, None] * gn[sl] + c.Jn[sl, None] * u_t[sl])
@@ -271,17 +268,18 @@ def integral_formula_check(data: GluedDataSet, field: AxisymField,
     gn_field = gnd if delta > 0 else gn
     gn_r = st.d_r(gn_field, 1)
     d = field._derivs()
+    f, sqf = 1.0 / c.lam, 1.0 / c.sqlam      # the areal f = 1/lam
 
     def sphere_terms(i, sigma):
         area_el = 2.0 * np.pi * r[i] ** 2 * w_x
-        dnu = sigma * c.sqf[i] * gn_r[i]
+        dnu = sigma * sqf[i] * gn_r[i]
         kflux = sigma * c.a[i] * u_t[i]
         p = sigma * u_t[i]
         qq = q[i]
         # kappa |grad_S eta| in the pole-regular form
         # (sigma sqrt(f) q^2 + x p u_x / rho) / (r |grad u|)
         with np.errstate(divide="ignore", invalid="ignore"):
-            kap_coarea = (sigma * c.sqf[i] * qq * qq
+            kap_coarea = (sigma * sqf[i] * qq * qq
                           + grid.x * p * d["u_x"][i] / c.rho[i]) \
                 / (r[i] * np.where(gn[i] > 0, gn[i], 1.0))
         keep = gn[i] > 1e-13
@@ -350,7 +348,7 @@ def integral_formula_check(data: GluedDataSet, field: AxisymField,
         inv = 1.0 / gnd
     # < grad G, n > and n(|grad u|) with n = grad u / |grad u|_delta
     rr_all = r[:, None]
-    grad_dot = lambda A_r, A_x: (c.f[:, None] * A_r * d["u_r"]
+    grad_dot = lambda A_r, A_x: (f[:, None] * A_r * d["u_r"]
                                  + (1.0 - grid.x[None, :]**2)
                                  * A_x * d["u_x"] / rr_all**2)
     dG_n = grad_dot(G_r, G_x) * inv

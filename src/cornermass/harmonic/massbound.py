@@ -63,24 +63,16 @@ class MassBoundReport:
 
 
 def _volume_weights(field: AxisymField):
-    """Radial trapezoid weights split across corner sides, plus x weights."""
+    """Radial trapezoid weights split across corner sides, plus x weights:
+    a node's upper half-cell is on its plus side at a corner ring."""
     grid = field.grid
-    c = field.coeffs
-    w_x = grid.x_weights()
-    w_r_minus = np.zeros(grid.n_r)
+    half = 0.5 * np.diff(grid.r)
+    below, above = np.append(0.0, half), np.append(half, 0.0)
+    corners = field.coeffs.corner_indices
     w_r_plus = np.zeros(grid.n_r)
-    r = grid.r
-    for (lo, hi) in c.segments:
-        dr = np.diff(r[lo:hi + 1])
-        seg = np.zeros(hi - lo + 1)
-        seg[:-1] += 0.5 * dr
-        seg[1:] += 0.5 * dr
-        # the segment's start weight belongs to the plus side of a corner
-        w_r_minus[lo + 1:hi + 1] += seg[1:]
-        w_r_plus[lo] += seg[0]
-    w_r_minus[0] += w_r_plus[0]
-    w_r_plus[0] = 0.0
-    return w_x, w_r_minus, w_r_plus
+    w_r_plus[corners] = above[corners]
+    above[corners] = 0.0
+    return grid.x_weights(), above + below, w_r_plus
 
 
 def critical_mask(field: AxisymField, hes: SpacetimeHessianField, c0=2.0):
@@ -106,42 +98,33 @@ def critical_mask(field: AxisymField, hes: SpacetimeHessianField, c0=2.0):
     return gn < c0 * h_loc * np.sqrt(hes.norm_sq)
 
 
-def _bulk_integral(field: AxisymField, hes: SpacetimeHessianField, delta,
-                   mask):
-    """Bulk integrand integrated over the grid, corner spheres excluded
-    (they carry no radial measure; side limits weight their half-cells).
-    ``hes`` is the field's spacetime Hessian, which does not depend on
-    delta; ``mask`` marks near-critical nodes dropped from the quadrature."""
-    c = field.coeffs
+def _bulk_parts(field: AxisymField, hes: SpacetimeHessianField, mask):
+    """Per side of the corners, the delta-independent parts of the bulk
+    integrand at the nodes the near-critical ``mask`` keeps: (|sHu|^2,
+    |grad u|, 2 (mu |grad u| + J(grad u)), volume weight); each side's
+    limit weights its half-cell at a corner ring."""
     w_x, w_r_minus, w_r_plus = _volume_weights(field)
     keep = ~mask
-
-    def side_sum(side, w_r):
+    parts = []
+    for side, nsq, w_r in (("minus", hes.norm_sq, w_r_minus),
+                           ("plus", hes.plus_norm_sq, w_r_plus)):
         if not np.any(w_r):
-            return 0.0
-        gn_plain = field.grad_norm_plain(side)
-        gn_delta = np.sqrt(gn_plain**2 + delta**2)
-        if side == "minus":
-            nsq = hes.norm_sq
-            mu, Jn = c.mu, c.Jn
-            dens = c.volume_density
-            u_t, _ = field.gradient("minus")
-        else:
-            nsq = hes.norm_sq.copy()
-            for i, row in hes.corner_plus_norm_sq.items():
-                nsq[i] = row
-            mu, Jn = c.mu.copy(), c.Jn.copy()
-            dens = c.volume_density.copy()
-            for i, cp in c.corner_plus.items():
-                mu[i], Jn[i] = cp["mu"], cp["Jn"]
-                dens[i] = np.sqrt(cp["lam"]) * cp["rho"] ** 2
-            u_t, _ = field.gradient("plus")
-        integrand = (nsq / gn_delta
-                     + 2.0 * (mu[:, None] * gn_plain + Jn[:, None] * u_t))
-        vol = 2.0 * np.pi * dens[:, None] * w_r[:, None] * w_x[None, :]
-        return float(np.sum((integrand * vol)[keep]))
+            continue
+        c = field.coeffs.side(side)
+        gn = field.grad_norm_plain(side)
+        u_t, _ = field.gradient(side)
+        matter = 2.0 * (c.mu[:, None] * gn + c.Jn[:, None] * u_t)
+        vol = 2.0 * np.pi * c.volume_density[:, None] * w_r[:, None] \
+            * w_x[None, :]
+        parts.append(tuple(arr[keep] for arr in (nsq, gn, matter, vol)))
+    return parts
 
-    return side_sum("minus", w_r_minus) + side_sum("plus", w_r_plus)
+
+def _bulk_integral(parts, delta):
+    """The bulk integral at regularization ``delta`` from ``_bulk_parts``."""
+    return sum(float(np.sum((nsq / np.sqrt(gn**2 + delta**2) + matter)
+                            * vol))
+               for nsq, gn, matter, vol in parts)
 
 
 def _corner_integral(field: AxisymField):
@@ -202,13 +185,9 @@ def mass_bound_report(data: GluedDataSet, field: AxisymField, adm: AdmResult,
     total_volume = float(np.sum(vol))
     delta0 = field.delta if field.delta > 0 else 1e-2
     deltas = [delta0, delta0 / 2.0, delta0 / 4.0]
-    slacks = []
-    bulk0 = None
-    for d in deltas:
-        bulk = _bulk_integral(field, hes, d, mask)
-        if bulk0 is None:
-            bulk0 = bulk
-        slacks.append(lhs - bulk - corner)
+    parts = _bulk_parts(field, hes, mask)
+    bulks = [_bulk_integral(parts, d) for d in deltas]
+    slacks = [lhs - bulk - corner for bulk in bulks]
     rep = richardson(slacks[1], slacks[2], 2.0, third_coarsest=slacks[0])
     # truncation bias scale: the flux integral still moves by this much
     # between the solver truncation and infinity
@@ -222,7 +201,7 @@ def mass_bound_report(data: GluedDataSet, field: AxisymField, adm: AdmResult,
     outer_scale = 16.0 * np.pi * abs(e_at_l - adm.E)
 
     report = MassBoundReport(
-        direction=direction, lhs=float(lhs), bulk=float(bulk0),
+        direction=direction, lhs=float(lhs), bulk=float(bulks[0]),
         corner=float(corner),
         delta_sequence=tuple(zip(deltas, slacks)),
         slack_extrapolated=float(rep.extrapolated),

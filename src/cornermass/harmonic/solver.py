@@ -29,7 +29,7 @@ correction G(u_k) - u_k = A~^-1 (b(u_k) - A u_k) from the current u_k
 (A~^-1 the factor's solve), so its rounding shrinks with the correction
 and the fixed point is still exactly A u = b(u).
 Outer Dirichlet data is the truncated asymptote a * rho cos(theta); an
-inner sphere may carry a constant Dirichlet value (the trapped-boundary
+inner sphere may carry the Dirichlet value 0 (the trapped-boundary
 option, with the sign of the normal derivative reported afterwards, never
 enforced); data with a smooth centre instead couples the innermost ring to
 an extra unknown, the virtual value at r = 0.
@@ -64,7 +64,6 @@ class SolveOptions:
     delta: float = 1e-2
     direction: int = +1              # asymptote +- rho cos(theta)
     inner: str = "auto"              # 'auto' | 'center' | 'trapped_const'
-    inner_value: float = 0.0
     picard_tol: float = 1e-9
     max_picard: int = 60
 
@@ -115,14 +114,13 @@ def _assemble_operator(coeffs: GridCoefficients,
     angular[J, J + 1] = -(an + as_)
     angular[J, J + 2] = an
 
+    plus = coeffs.side("plus")
     for (lo, hi) in coeffs.segments:
-        lam = coeffs.lam[lo:hi + 1].copy()
-        rho = coeffs.rho[lo:hi + 1].copy()
-        if lo in coeffs.corner_plus:
-            lam[0] = coeffs.corner_plus[lo]["lam"]
-            rho[0] = coeffs.corner_plus[lo]["rho"]
-        # rings strictly inside the segment; its ends are corners, the
-        # outer Dirichlet ring or ring 0
+        # the segment's first ring on its plus side, its last on its minus
+        # side; the rings strictly inside it are the rows, its ends are
+        # corners, the outer Dirichlet ring or ring 0
+        lam = np.append(plus.lam[lo], coeffs.lam[lo + 1:hi + 1])
+        rho = np.append(plus.rho[lo], coeffs.rho[lo + 1:hi + 1])
         k = np.arange(1, hi - lo)
         i = lo + k
         face = rho[:-1] * rho[1:] * (lam[:-1] * lam[1:]) ** -0.25
@@ -162,7 +160,7 @@ def _assemble_operator(coeffs: GridCoefficients,
         wL = d_r.w[i]
         wR = d_r_plus.w[k]
         sfL = 1.0 / coeffs.sqlam[i]
-        sfR = 1.0 / np.sqrt(coeffs.corner_plus[i]["lam"])
+        sfR = 1.0 / np.sqrt(plus.lam[i])
         radial[i] = (sfL * wL[0], sfL * wL[1], sfL * wL[2] - sfR * wR[0],
                      -sfR * wR[1], -sfR * wR[2])
 
@@ -207,22 +205,11 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
                          "in the solve chart")
     operator = _assemble_operator(coeffs, inner_mode)
 
-    s, x = grid.r, grid.x
     sign = float(opts.direction)
-    boundary = sign * np.outer(coeffs.rho, x)
+    boundary = sign * np.outer(coeffs.rho, grid.x)
     if inner_mode == "trapped_const":
-        boundary[0, :] = opts.inner_value
-    if coeffs.chart == "isotropic":
-        # taper the first-sheet asymptote down to the inner value so the
-        # second sheet starts near the trapped-boundary constant
-        w = np.log(s / s[0]) / np.log(s[-1] / s[0])
-        u = opts.inner_value + w[:, None] * (
-            sign * coeffs.rho[-1] * x[None, :] - opts.inner_value)
-        u[-1, :] = boundary[-1, :]
-        if inner_mode == "trapped_const":
-            u[0, :] = boundary[0, :]
-    else:
-        u = boundary.copy()
+        boundary[0, :] = 0.0
+    u = boundary.copy()
 
     k_zero = np.max(np.abs(coeffs.K)) == 0.0
 
@@ -244,6 +231,10 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
         f, u = g - u, g
         change = float(np.max(np.abs(f)))
         picard_changes.append(change)
+        if not np.isfinite(change):
+            raise PicardStagnationError(
+                f"Picard step {step + 1} left a fixed-point residual of "
+                f"{change!r}", picard_changes)
         # K = 0: G does not depend on u, so G(u_0) is the solution
         if k_zero or change <= opts.picard_tol * max(
                 1.0, float(np.max(np.abs(g)))):

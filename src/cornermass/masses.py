@@ -59,21 +59,38 @@ def _flux_energy_integrand(patch, r):
     return 2.0 * phi / r
 
 
+def geometric_ratio(radii):
+    """The common ratio t > 1 of a strictly increasing geometric list of
+    two or more positive radii (each ratio within relative 1e-12 of the
+    first), or None for any other list."""
+    if len(radii) < 2 or not radii[0] > 0:
+        return None
+    ratio = radii[1] / radii[0]
+    if not ratio > 1.0 or any(abs(b / a - ratio) > 1e-12 * ratio
+                              for a, b in zip(radii[1:], radii[2:])):
+        return None
+    return ratio
+
+
 def adm_energy_momentum(data: GluedDataSet, radii: Sequence[float],
                         n_quad=48) -> AdmResult:
     """ADM (E, P) from flux integrals at the given radii, extrapolated.
 
     The limit is taken by iterated Richardson extrapolation in 1/r over the
-    (increasing, ratio-2) radii list.  P is the quadrature of pi_ij nu^j,
-    identically odd on the sphere for rotationally symmetric k.
+    radii, which must be a strictly increasing geometric list
+    (``geometric_ratio``); the extrapolation uses its common ratio.  P is
+    the quadrature of pi_ij nu^j, identically odd on the sphere for
+    rotationally symmetric k.
     """
     radii = [float(r) for r in radii]
-    if sorted(radii) != radii or len(radii) < 2:
-        raise ValueError("radii must be an increasing list of length >= 2")
     outer = data.patches[-1]
     for r in radii:
         if not outer.contains(r):
             raise DomainError(f"ADM radius {r} outside outermost patch")
+    ratio = geometric_ratio(radii)
+    if ratio is None:
+        raise ValueError("radii must be a strictly increasing geometric "
+                         "list of length >= 2")
 
     xq, wq = gauss_x_nodes(n_quad)
     e_flux, ms, pz = [], [], []
@@ -94,9 +111,9 @@ def adm_energy_momentum(data: GluedDataSet, radii: Sequence[float],
         flags.append("non-monotone-flux")
         if abs(diffs[-1]) > 2.0 * abs(diffs[0]):
             flags.append("divergent-flux")
-    E, conv = limit_from_sequence(e_flux, p=1.0)
-    ms_lim, _ = limit_from_sequence(ms, p=1.0)
-    P = (0.0, 0.0, float(limit_from_sequence(pz, p=1.0)[0]))
+    E, conv = limit_from_sequence(e_flux, p=1.0, ratio=ratio)
+    ms_lim, _ = limit_from_sequence(ms, p=1.0, ratio=ratio)
+    P = (0.0, 0.0, float(limit_from_sequence(pz, p=1.0, ratio=ratio)[0]))
     pn = float(np.linalg.norm(P))
     mass = float(np.sqrt(E * E - pn * pn)) if E >= pn else None
     return AdmResult(E=float(E), P=P, mass=mass,

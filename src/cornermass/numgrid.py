@@ -325,8 +325,9 @@ def richardson(coarse, fine, p, third_coarsest=None, ratio=2.0,
     return ConvergenceReport(coarse, fine, extrap, order, p, False, ratio)
 
 
-def limit_from_sequence(values, p=1.0):
-    """Iterated Richardson limit of values at resolutions h, h/2, h/4, ...
+def limit_from_sequence(values, p=1.0, ratio=2.0):
+    """Iterated Richardson limit of values at resolutions h, h/t, h/t^2,
+    ..., t = ``ratio``.
 
     Each level raises the assumed order by one starting from ``p``.  Returns
     (limit, ConvergenceReport of the last pair at the deepest level).
@@ -335,16 +336,16 @@ def limit_from_sequence(values, p=1.0):
     if len(vals) < 2:
         raise ValueError("need at least two values")
     third = vals[-3] if len(vals) >= 3 else None
-    base = richardson(vals[-2], vals[-1], p, third)
+    base = richardson(vals[-2], vals[-1], p, third, ratio=ratio)
     level = list(vals)
     order = p
     while len(level) > 1:
-        level = [richardson(a, b, order).extrapolated
+        level = [richardson(a, b, order, ratio=ratio).extrapolated
                  for a, b in zip(level[:-1], level[1:])]
         order += 1.0
     return level[0], ConvergenceReport(base.coarse, base.fine, level[0],
                                        base.observed_order, p,
-                                       base.degenerate)
+                                       base.degenerate, base.ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,13 @@ right-hand side.
 ``envelope_json`` is the two-pass writer of the report envelope, a
 conversion to plain JSON values followed by ``json.dumps``, that
 ``cli.emit`` must reproduce byte for byte.
+
+``plus_hessian_rows`` and ``bulk_integral_patched`` are the corner-by-
+corner code that the whole plus-side arrays of
+``cornermass.harmonic.fields`` replaced: the plus side of each corner
+ring is read from the patch outside it, the Hessian one ring at a time,
+and the bulk integral re-forms every term at every delta from minus-side
+copies with their corner rows patched.
 """
 
 import csv
@@ -43,6 +50,8 @@ import math
 import numpy as np
 
 from cornermass.geometry import scalar_curvature
+from cornermass.harmonic.fields import _areal_vals
+from cornermass.harmonic.massbound import _volume_weights
 from cornermass.numgrid import integrate_ode, stencil_d1, stencil_d2
 
 
@@ -336,3 +345,86 @@ def gauss_legendre_numpy(n):
     """numpy's Gauss-Legendre rule, nodes decreasing."""
     x, w = np.polynomial.legendre.leggauss(n)
     return x[::-1], w[::-1]
+
+
+def plus_patch_values(coeffs, i):
+    """``_areal_vals`` of the patch outside corner ring i, at that ring
+    alone, as Python floats."""
+    r = coeffs.grid.r[i:i + 1]
+    vals = _areal_vals(coeffs.data, r, coeffs.data.patch_at(r[0], "plus"))
+    return {name: float(v[0]) for name, v in vals.items()}
+
+
+def side_patched(coeffs, name):
+    """A copy of the minus-side array ``name`` with each corner ring's row
+    replaced by the plus patch's value there."""
+    out = getattr(coeffs, name).copy()
+    for i in coeffs.corner_indices:
+        out[i] = plus_patch_values(coeffs, i)[name]
+    return out
+
+
+def plus_hessian_rows(field):
+    """{corner ring i: |sHu|^2 on its plus side}, one ring at a time, with
+    the plus-side coefficients read from the patch outside the corner."""
+    c = field.coeffs
+    x = field.grid.x
+    sin = np.sqrt(np.maximum(1.0 - x**2, 0.0))
+    u_x, u_xx = field._table("u_x"), field._table("u_xx")
+    rows = {}
+    for i in c.corner_indices:
+        v = plus_patch_values(c, i)
+        lam, lamp, sqlam, rho, rhop = (v[n] for n in
+                                       ("lam", "lamp", "sqlam", "rho", "rhop"))
+        u_r, u_rr, u_rx = field.radial_derivative_rows(i, "plus")
+        t_rr = (u_rr - (lamp / (2.0 * lam)) * u_r) / lam
+        t_rt = -(sin / (sqlam * rho)) * (u_rx - (rhop / rho) * u_x[i])
+        t_tt = ((1.0 - x * x) * u_xx[i] - x * u_x[i]) / (rho * rho) \
+            + (rhop / (lam * rho)) * u_r
+        t_pp = (rhop / (lam * rho)) * u_r - x * u_x[i] / (rho * rho)
+        u_t = u_r / sqlam
+        q = -sin * u_x[i] / rho
+        gn = np.sqrt(u_t * u_t + q * q + 0.0 * 0.0)
+        rr, tt, pp = t_rr + gn * v["a"], t_tt + gn * v["b"], \
+            t_pp + gn * v["b"]
+        rows[i] = rr ** 2 + tt ** 2 + pp ** 2 + 2.0 * t_rt ** 2
+    return rows
+
+
+def bulk_integral_patched(field, hes, delta, mask):
+    """The bulk integral of ``massbound`` at one delta: each side's
+    integrand formed from scratch, the plus side from copies of the
+    minus-side arrays with their corner rows patched from the patches and
+    ``plus_hessian_rows``; ``mask`` marks the nodes left out."""
+    c = field.coeffs
+    w_x, w_r_minus, w_r_plus = _volume_weights(field)
+    keep = ~mask
+    sin = np.sqrt(np.maximum(1.0 - field.grid.x**2, 0.0))[None, :]
+
+    def side_sum(side, w_r):
+        if not np.any(w_r):
+            return 0.0
+        if side == "minus":
+            nsq, mu, Jn = hes.norm_sq, c.mu, c.Jn
+            sqlam, rho = c.sqlam, c.rho
+            dens = c.volume_density
+        else:
+            nsq = hes.norm_sq.copy()
+            for i, row in plus_hessian_rows(field).items():
+                nsq[i] = row
+            mu, Jn, sqlam, rho = (side_patched(c, n) for n in
+                                  ("mu", "Jn", "sqlam", "rho"))
+            dens = c.volume_density.copy()
+            for i in c.corner_indices:
+                v = plus_patch_values(c, i)
+                dens[i] = np.sqrt(v["lam"]) * v["rho"] ** 2
+        u_t = field._table("u_r", side) / sqlam[:, None]
+        q = -sin * field._table("u_x") / rho[:, None]
+        gn_plain = np.sqrt(u_t * u_t + q * q + 0.0 * 0.0)
+        gn_delta = np.sqrt(gn_plain**2 + delta**2)
+        integrand = (nsq / gn_delta
+                     + 2.0 * (mu[:, None] * gn_plain + Jn[:, None] * u_t))
+        vol = 2.0 * np.pi * dens[:, None] * w_r[:, None] * w_x[None, :]
+        return float(np.sum((integrand * vol)[keep]))
+
+    return side_sum("minus", w_r_minus) + side_sum("plus", w_r_plus)

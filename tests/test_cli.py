@@ -118,7 +118,13 @@ r0 = 2.0
         ("constraints", "samples", "0"),
         ("massbound", "delta", "abc"),
         ("massbound", "adm_radii", "-5"),
-    ], ids=["samples_type", "samples_zero", "delta_type", "adm_radii"])
+        ("massbound", "adm_radii", "50"),
+        ("massbound", "adm_radii", "50 50"),
+        ("massbound", "adm_radii", "100 50"),
+        ("massbound", "adm_radii", "50 100 150"),
+    ], ids=["samples_type", "samples_zero", "delta_type", "adm_radii",
+            "adm_radii_one", "adm_radii_repeated", "adm_radii_decreasing",
+            "adm_radii_not_geometric"])
     def test_typed_run_keys_exit_2(self, tmp_path, capsys, command, key,
                                    value):
         path = write(tmp_path, "t.cfg", "[run]\nscenario = hyperbolic_negschw"
@@ -126,6 +132,33 @@ r0 = 2.0
         assert cli.main([command, "--config", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and f"run.{key}" in err
+
+    @pytest.mark.parametrize("command, text, field", [
+        ("quasilocal", "[run]\nscenario = schwarzschild\n"
+         "[quasilocal]\nr0 = 1.5\n", "quasilocal.r0"),
+        ("quasilocal", "[run]\nscenario = schwarzschild\n"
+         "[quasilocal]\nr0 = 5\nhull_radii = 3 2\n",
+         "quasilocal.hull_radii"),
+        ("quasilocal", "[run]\nscenario = hyperbolic_negschw\n"
+         "[quasilocal]\nr0 = 1\nside = auto\n", "quasilocal.side"),
+        ("massbound", "[run]\nscenario = schwarzschild\nresolutions = 16\n"
+         "adm_radii = 50 100 300\n", "run.adm_radii"),
+        # geometric, but beyond the outermost patch's r = 260
+        ("massbound", "[run]\nscenario = schwarzschild\nresolutions = 16\n"
+         "adm_radii = 100 200 400\n", "run.adm_radii"),
+    ], ids=["r0_below_data", "hull_below_data", "r0_on_corner",
+            "adm_radii_not_geometric", "adm_radii_beyond_data"])
+    def test_radius_outside_the_data_exits_2(self, tmp_path, capsys,
+                                             command, text, field):
+        # each used to exit 3, the code of a numerical failure
+        path = write(tmp_path, "o.cfg", text)
+        with pytest.raises(ConfigError) as exc:
+            cli._COMMANDS[command](cli.parse_config(path),
+                                   cli.parse_args([command]))
+        assert exc.value.field == field
+        assert cli.main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and field in err
 
     def test_quasilocal_side_must_be_a_side(self, tmp_path, capsys):
         # a typo used to run silently as side = auto and exit 0
@@ -285,6 +318,15 @@ class TestCommands:
         assert rc == 0
         assert out["verdicts"]["dec_ok"]
         assert out["reports"]["corner_jumps"][0] == pytest.approx(-2.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_picard_state_exits_3(self, tmp_path, capsys):
+        # |grad u|_delta overflows at delta = 1e160; the NaN residual used
+        # to reach the Anderson least-squares step and exit 1
+        path = write(tmp_path, "o.cfg", "[run]\nscenario = hyperbolic_negschw"
+                     "\nresolutions = 16 24\ndelta = 1e160\n")
+        assert cli.main(["massbound", "--config", path]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure")
 
     def test_massbound_flat(self, tmp_path, capsys):
         path = write(tmp_path, "m.cfg", """

@@ -170,6 +170,17 @@ class TestSolver:
         assert len(exc.value.history) == 3
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_picard_state_stops_with_history(self):
+        from cornermass.errors import PicardStagnationError
+        data = scenario_build("hyperbolic_negschw")
+        with pytest.raises(PicardStagnationError) as exc:
+            solve_spacetime_harmonic(data, n_r=16, n_theta=16, L=30.0,
+                                     options=SolveOptions(delta=1e160))
+        assert len(exc.value.history) == 1
+        assert not np.isfinite(exc.value.history[-1])
+
+
 class TestHessian:
     def test_flat_z_zero(self, flat_field):
         data, fld = flat_field
@@ -347,6 +358,81 @@ class TestStencilTables:
         (steps_a, calls_a), (steps_b, calls_b) = per_solve
         assert steps_a < steps_b
         assert calls_a == calls_b == setup
+
+
+SIDE_CASES = {
+    # (scenario parameters, resolution, truncation)
+    "hyperbolic_negschw": ({}, 48, 30.0),
+    "schwarzschild": ({"m": 1.0}, 32, 40.0),
+    # f jumps at the corner: 1 inside, 0.4225 outside
+    "shi_tam_glue": ({"omega_nn": 0.7}, 32, 30.0),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SIDE_CASES))
+def side_case(request):
+    params, n, L = SIDE_CASES[request.param]
+    data = scenario_build(request.param, **params)
+    return data, solve_spacetime_harmonic(data, n_r=n, n_theta=n, L=L)
+
+
+class TestSideArrays:
+    """One whole array per side of a corner, against the corner-by-corner
+    patching it replaced (``oracles``)."""
+
+    def test_coefficients_differ_only_on_corner_rings(self, side_case):
+        import oracles
+        import dataclasses
+        from cornermass.harmonic.fields import SideCoefficients, _areal_vals
+        data, fld = side_case
+        c = fld.coeffs
+        assert len(c.corner_indices) == (0 if data.chart else 1)
+        off = np.ones(fld.grid.n_r, dtype=bool)
+        off[c.corner_indices] = False
+        s = fld.grid.r
+        for name in (f.name for f in dataclasses.fields(SideCoefficients)):
+            minus, plus = getattr(c, name), getattr(c.side("plus"), name)
+            assert c.side("minus") is c
+            assert np.all(plus[off] == minus[off])
+            for i in c.corner_indices:
+                assert plus[i] == oracles.plus_patch_values(c, i)[name]
+                want = _areal_vals(data, s[i:i + 1],
+                                   data.patch_at(s[i], "minus"))[name][0]
+                assert minus[i] == want
+        if data.name == "shi_tam_glue":
+            i = c.corner_indices[0]
+            assert c.lam[i] == 1.0
+            assert c.plus.lam[i] == pytest.approx(1.0 / 0.4225, rel=1e-14)
+
+    def test_plus_norm_sq_matches_corner_rows(self, side_case):
+        import oracles
+        _, fld = side_case
+        c = fld.coeffs
+        hes = spacetime_hessian(fld)
+        off = np.ones(fld.grid.n_r, dtype=bool)
+        off[c.corner_indices] = False
+        assert np.all(hes.plus_norm_sq[off] == hes.norm_sq[off])
+        rows = oracles.plus_hessian_rows(fld)
+        assert sorted(rows) == c.corner_indices
+        for i, row in rows.items():
+            assert np.all(hes.plus_norm_sq[i] == row)
+            assert np.any(row != hes.norm_sq[i])
+
+    def test_bulk_matches_patched_bulk_at_every_delta(self, side_case):
+        import oracles
+        from cornermass.harmonic import massbound
+        data, fld = side_case
+        adm = masses.adm_energy_momentum(data, ADM_RADII)
+        rep = mass_bound_report(data, fld, adm, +1)
+        hes = spacetime_hessian(fld)
+        mask = massbound.critical_mask(fld, hes)
+        parts = massbound._bulk_parts(fld, hes, mask)
+        for k, (d, slack) in enumerate(rep.delta_sequence):
+            want = oracles.bulk_integral_patched(fld, hes, d, mask)
+            assert massbound._bulk_integral(parts, d) == want
+            assert slack == rep.lhs - want - rep.corner
+            if k == 0:
+                assert rep.bulk == want
 
 
 class TestMassBound:

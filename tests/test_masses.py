@@ -43,6 +43,22 @@ class TestAdm:
             assert _flux_energy_integrand(patch, r) == \
                 pytest.approx(want, abs=1e-6)
 
+    def test_radii_extrapolated_at_their_own_ratio(self):
+        # a ratio of 2 assumed here used to give E = 1.00736
+        adm = adm_energy_momentum(scenario_build("schwarzschild", m=1.0),
+                                  [50.0, 75.0, 112.5])
+        assert adm.E == pytest.approx(1.0, abs=1e-4)
+        assert adm.convergence.ratio == 1.5
+
+    @pytest.mark.parametrize("radii", [
+        [50.0], [50.0, 50.0], [100.0, 50.0], [50.0, 100.0, 150.0]],
+        ids=["one", "repeated", "decreasing", "not_geometric"])
+    def test_radii_must_be_increasing_and_geometric(self, radii):
+        assert masses.geometric_ratio(radii) is None
+        with pytest.raises(ValueError):
+            adm_energy_momentum(scenario_build("schwarzschild", m=1.0),
+                                radii)
+
     def test_radius_outside_patch(self):
         with pytest.raises(DomainError):
             adm_energy_momentum(scenario_build("schwarzschild", m=1.0),

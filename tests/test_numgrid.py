@@ -97,6 +97,15 @@ class TestRichardson:
         assert abs(numgrid.richardson(v[1], v[2], 2.0).extrapolated
                    - 3.0) > 5e-4
 
+    def test_sequence_limit_at_its_ratio(self):
+        # 3 + 5/r + 7/r^2 at r = 50, 75, 112.5: two levels remove both
+        # terms at the radii's ratio 1.5, and miss the limit at 2
+        v = [3.0 + 5.0 / r + 7.0 / r ** 2 for r in (50.0, 75.0, 112.5)]
+        lim, rep = numgrid.limit_from_sequence(v, p=1.0, ratio=1.5)
+        assert lim == pytest.approx(3.0, abs=1e-12)
+        assert rep.ratio == 1.5
+        assert abs(numgrid.limit_from_sequence(v, p=1.0)[0] - 3.0) > 1e-2
+
     def test_unequal_ratios_give_no_order(self):
         v = [3.0 + 5.0 / n ** 2 for n in (32, 48, 64)]
         rep = numgrid.richardson(v[1], v[2], 2.0, third_coarsest=v[0],
@@ -308,7 +317,7 @@ class TestSeparatedSolveOracle:
         for k, i in enumerate(coeffs.corner_indices):
             minus = st.r[0].apply(dense)[i] / coeffs.sqlam[i]
             plus = st.r_plus[0].apply(dense)[k] \
-                / np.sqrt(coeffs.corner_plus[i]["lam"])
+                / np.sqrt(coeffs.plus.lam[i])
             assert np.max(np.abs(minus - plus)) <= 1e-9 * np.max(
                 np.abs(minus))
 
