@@ -150,6 +150,7 @@ def _scenario_from_config(cfg):
     params = {}
     for key, val in cfg.items():
         if key.startswith("scenario."):
+            _number(cfg, key, many=True, need="a finite number or list")
             params[key.split(".", 1)[1]] = val
     try:
         data = corner.scenario_build(name, **params)
@@ -286,8 +287,11 @@ def cmd_constraints(cfg, args):
     per_patch = []
     ok = True
     for patch in data.patches:
-        rep = geometry.dec_check(patch, samples=samples, tolerance=tol,
-                                 exclude=data.corner_radii)
+        try:    # too few samples clear no corner
+            rep = geometry.dec_check(patch, samples=samples, tolerance=tol,
+                                     exclude=data.corner_radii)
+        except DomainError as exc:
+            raise ConfigError(str(exc), field="run.samples")
         lo = patch.r_in if patch.r_in > 0 else 1e-3 * patch.r_out
         rs = np.linspace(lo, patch.r_out, 9)
         R, mu, J_n = geometry.constraint_densities(patch, rs)
@@ -339,6 +343,9 @@ def _massbound_run_keys(cfg, data):
 
 def cmd_massbound(cfg, args):
     data = _scenario_from_config(cfg)
+    if any(i.omega_minus[1] or i.omega_plus[1] for i in data.interfaces):
+        raise ConfigError("the axisymmetric grid has no tangential omega "
+                          "at a corner", field="scenario.omega_tan")
     resolutions, n_theta, L, r_inner, direction = _massbound_run_keys(
         cfg, data)
     delta = _number(cfg, "run.delta", 1e-2, ok=_positive,
@@ -371,8 +378,9 @@ def cmd_massbound(cfg, args):
 
 def cmd_quasilocal(cfg, args):
     data = _scenario_from_config(cfg)
-    r0 = _number(cfg, "quasilocal.r0", ok=_positive,
-                 need="a positive radius", required=True)
+    r0 = _number(cfg, "quasilocal.r0", ok=lambda r: r > 0 and math.isfinite(
+        (2.0 / r) * (2.0 / r)), need="a positive radius whose round "
+        "curvature (2/r0)^2 is finite", required=True)
     side = _choice(cfg, "quasilocal.side", "auto",
                    ("auto", "minus", "plus"))
     omega_tan = _number(cfg, "quasilocal.omega_tan", 0.0)
@@ -426,20 +434,23 @@ def cmd_certificate(cfg, args):
     sweep = _number(cfg, "certificate.h_eff_sweep", many=True,
                     ok=lambda v: len(v) == 3 and v[2] == int(v[2]) >= 1,
                     need="'lo hi n' with a count n >= 1")
-    rows = []
-    if sweep is not None:
-        lo, hi, n = sweep
-        values = np.linspace(lo, hi, int(n))
-        for h_eff in values:
-            v = extension.fillin_certificate(r0, float(h_eff) + np.hypot(
-                tr_alpha, beta_abs), tr_alpha, beta_abs)
-            rows.append(v)
-    else:
-        if H is None:
-            raise ConfigError("need certificate.H or certificate.h_eff_sweep",
-                              field="certificate.H")
-        rows.append(extension.fillin_certificate(r0, H, tr_alpha,
-                                                 beta_abs))
+    if sweep is None and H is None:
+        raise ConfigError("need certificate.H or certificate.h_eff_sweep",
+                          field="certificate.H")
+    f_b = np.hypot(tr_alpha, beta_abs)
+    Hs = [H] if sweep is None else [float(h_eff) + f_b for h_eff in
+                                    np.linspace(sweep[0], sweep[1],
+                                                int(sweep[2]))]
+    # every row's E_ext = (r0/2)(1 - (h_eff r0/2)^2), 0 < h_eff <= H,
+    # must be a float
+    h = float(max(map(abs, Hs)))
+    if not math.isfinite(r0 * (h * r0 / 2.0) * (h * r0 / 2.0)):
+        key = "certificate.r0" if r0 > h else "certificate.H" \
+            if sweep is None else "certificate.h_eff_sweep"
+        raise ConfigError(f"{key}: E_ext overflows at r0 = {r0!r}, H up "
+                          f"to {h!r}", field=key)
+    rows = [extension.fillin_certificate(r0, H_row, tr_alpha, beta_abs)
+            for H_row in Hs]
     n_cert = sum(1 for v in rows if v.certified)
     reports = {"certificates": rows, "n_certified": n_cert,
                "threshold_H_minus_f": 2.0 / r0}
@@ -655,7 +666,9 @@ def main(argv=None):
         return code
     except ConfigError as exc:
         loc = f" (line {exc.line})" if exc.line else ""
-        print(f"config error{loc}: {exc}", file=sys.stderr)
+        key = f"{exc.field}: " if exc.field and exc.field not in str(exc) \
+            else ""
+        print(f"config error{loc}: {key}{exc}", file=sys.stderr)
         return 2
     except (SingularFactorError, PicardStagnationError,
             IntegrationDivergedError) as exc:

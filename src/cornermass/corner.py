@@ -342,6 +342,10 @@ def _shi_tam_glue(r0=1.0, H=2.0, omega_nn=0.0, omega_tan=0.0, r_out=None):
     h_eff = H - omega_abs
     if h_eff <= 0:
         raise ValueError("need H > |omega| for the matched extension")
+    half = H * r0 / 2.0
+    if not np.isfinite(1000.0 * r0 * half * half):
+        raise ValueError(f"H = {H!r} and r0 = {r0!r}: the extension's "
+                         "mass (r0/2)(1 - (h_eff r0/2)^2) overflows")
     f0_in = (H * r0 / 2.0) ** 2          # inner side realizes the given H
     f0_ext = (h_eff * r0 / 2.0) ** 2     # extension side has H - |omega|
     m_ext = 0.5 * r0 * (1.0 - f0_ext)

@@ -29,7 +29,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .corner import GluedDataSet, interface_from_patches, scenario_build
-from .errors import HypothesisError
+from .errors import DomainError, HypothesisError
 from .geometry import RadialPatch, constraints, scalar_curvature
 from .masses import QuasilocalReport, quasilocal
 from .numgrid import ScalarProfile, integrate_ode, limit_from_sequence
@@ -127,9 +127,13 @@ def quasilocal_pipeline(r0, H, omega_nn=0.0, omega_tan=0.0) -> PipelineResult:
     omega_abs = float(np.hypot(omega_nn, omega_tan))
     if H <= omega_abs:
         raise HypothesisError("need H > |omega|")
+    try:    # its checks also cover the extension's, as H >= H - |omega|
+        data = scenario_build("shi_tam_glue", r0=r0, H=H, omega_nn=omega_nn,
+                              omega_tan=omega_tan)
+    except ValueError as exc:
+        raise DomainError(f"no matched extension of the round data r0 = "
+                          f"{r0!r}, H = {H!r}: {exc}") from exc
     ext = shi_tam_extend(r0, H - omega_abs)
-    data = scenario_build("shi_tam_glue", r0=r0, H=H, omega_nn=omega_nn,
-                          omega_tan=omega_tan)
     jump = data.interfaces[0].jump
     ql = quasilocal(data, r0, side="minus", omega_tan=omega_tan)
     return PipelineResult(quasilocal=ql, extension=ext,

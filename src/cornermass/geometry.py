@@ -47,14 +47,16 @@ class RadialPatch:
             raise ValueError("r_in must be >= 0")
         if self.r_out <= self.r_in:
             raise ValueError("empty patch domain")
-        rs = np.linspace(max(self.r_in, 1e-8), self.r_out, 64)
+        # radii inside the patch, also when it ends below r = 1
+        scale = min(1.0, self.r_out)
+        rs = np.linspace(max(self.r_in, 1e-8 * scale), self.r_out, 64)
         if np.any(self.f.value(rs, extrapolate=True) <= 0):
             raise ValueError("metric coefficient f must be positive")
         if self.r_in == 0.0:
             # smooth centre: f(0) = 1 and finite k eigenvalues
-            f0 = float(self.f.value(1e-9, extrapolate=True))
-            a0 = float(self.a.value(1e-9, extrapolate=True))
-            b0 = float(self.b.value(1e-9, extrapolate=True))
+            f0 = float(self.f.value(1e-9 * scale, extrapolate=True))
+            a0 = float(self.a.value(1e-9 * scale, extrapolate=True))
+            b0 = float(self.b.value(1e-9 * scale, extrapolate=True))
             if abs(f0 - 1.0) > _CENTER_TOL:
                 raise ValueError(f"centre regularity violated: f(0) = {f0}")
             if not (np.isfinite(a0) and np.isfinite(b0)):
@@ -248,6 +250,9 @@ def dec_check(patch: RadialPatch, samples: int = 128,
     significant digits to the 1/r^2 cancellation.
     """
     rs, margins = dec_margins(patch, samples, exclude)
+    if rs.size == 0:
+        raise DomainError(f"all {samples} sample radii on [{patch.r_in}, "
+                          f"{patch.r_out}] lie next to an excluded radius")
     i = int(np.argmin(margins))
     return DecReport(min_margin=float(margins[i]), radius_of_min=float(rs[i]),
                      samples=int(rs.size), tolerance=tolerance)

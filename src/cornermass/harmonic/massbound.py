@@ -98,24 +98,31 @@ def critical_mask(field: AxisymField, hes: SpacetimeHessianField, c0=2.0):
     return gn < c0 * h_loc * np.sqrt(hes.norm_sq)
 
 
+def _side_volumes(field: AxisymField):
+    """The proper volume weight of every node on the minus and on the
+    plus side of the corners, each side's density on its half-cells."""
+    w_x, w_r_minus, w_r_plus = _volume_weights(field)
+    return [2.0 * np.pi * field.coeffs.side(side).volume_density[:, None]
+            * w_r[:, None] * w_x[None, :]
+            for side, w_r in (("minus", w_r_minus), ("plus", w_r_plus))]
+
+
 def _bulk_parts(field: AxisymField, hes: SpacetimeHessianField, mask):
     """Per side of the corners, the delta-independent parts of the bulk
     integrand at the nodes the near-critical ``mask`` keeps: (|sHu|^2,
     |grad u|, 2 (mu |grad u| + J(grad u)), volume weight); each side's
     limit weights its half-cell at a corner ring."""
-    w_x, w_r_minus, w_r_plus = _volume_weights(field)
     keep = ~mask
     parts = []
-    for side, nsq, w_r in (("minus", hes.norm_sq, w_r_minus),
-                           ("plus", hes.plus_norm_sq, w_r_plus)):
-        if not np.any(w_r):
+    for side, nsq, vol in zip(("minus", "plus"),
+                              (hes.norm_sq, hes.plus_norm_sq),
+                              _side_volumes(field)):
+        if not np.any(vol):
             continue
         c = field.coeffs.side(side)
         gn = field.grad_norm_plain(side)
         u_t, _ = field.gradient(side)
         matter = 2.0 * (c.mu[:, None] * gn + c.Jn[:, None] * u_t)
-        vol = 2.0 * np.pi * c.volume_density[:, None] * w_r[:, None] \
-            * w_x[None, :]
         parts.append(tuple(arr[keep] for arr in (nsq, gn, matter, vol)))
     return parts
 
@@ -177,10 +184,7 @@ def mass_bound_report(data: GluedDataSet, field: AxisymField, adm: AdmResult,
     corner, jumps, violated = _corner_integral(field)
     hes = spacetime_hessian(field)
     mask = critical_mask(field, hes)
-    w_x, w_rm, w_rp = _volume_weights(field)
-    c = field.coeffs
-    vol = 2.0 * np.pi * c.volume_density[:, None] \
-        * (w_rm + w_rp)[:, None] * w_x[None, :]
+    vol = sum(_side_volumes(field))
     excluded_volume = float(np.sum(vol[mask]))
     total_volume = float(np.sum(vol))
     delta0 = field.delta if field.delta > 0 else 1e-2

@@ -23,11 +23,11 @@ per-ring radial coefficients and that angular matrix, and factored once
 (the angular eigenvectors, from the even and odd halves of the
 equatorially symmetric angular matrix, and one banded LU per radial
 mode, vectorised over the modes).  A solve is two angular transforms
-around the banded solves.  The first step is a solve plus one
-refinement solve of its residual; every later step solves once, for the
-correction G(u_k) - u_k = A~^-1 (b(u_k) - A u_k) from the current u_k
-(A~^-1 the factor's solve), so its rounding shrinks with the correction
-and the fixed point is still exactly A u = b(u).
+around the banded solves.  Every step solves once, for the correction
+G(u_k) - u_k = A~^-1 (b(u_k) - A u_k) from the current u_k (A~^-1 the
+factor's solve), the first from u_0 = the Dirichlet data, so its
+rounding shrinks with the correction and the fixed point is still
+exactly A u = b(u).
 Outer Dirichlet data is the truncated asymptote a * rho cos(theta); an
 inner sphere may carry the Dirichlet value 0 (the trapped-boundary
 option, with the sign of the normal derivative reported afterwards, never
@@ -223,10 +223,10 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
     residual = 0.0
     hist_f, hist_g = [], []              # r_k and G(u_k), flattened
     for step in range(opts.max_picard):
-        # after the first step, one solve of the correction from u
+        # one solve of the correction from u (first: the boundary data)
         g, info = solve_linear_elliptic(
             operator, source(AxisymField(coeffs, u, delta=opts.delta)),
-            boundary, start=u if step else None)
+            boundary, start=u)
         residual = max(residual, info["residual"])
         f, u = g - u, g
         change = float(np.max(np.abs(f)))
@@ -253,6 +253,12 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
             f"Picard stagnated after {opts.max_picard} iterations (last "
             f"fixed-point residual {picard_changes[-1]:.3e})",
             picard_changes)
+    # the field's |grad u|_delta, which the report divides by, overflows
+    # (with K != 0 the Picard state already did)
+    if not np.isfinite(opts.delta * opts.delta):
+        raise PicardStagnationError(
+            f"|grad u|_delta overflows: delta = {opts.delta!r} has no "
+            f"finite square", picard_changes)
     field = AxisymField(coeffs, u, delta=opts.delta)
     # the discrete equation's residual max|A u - b(u)| at the source rows
     F = (operator.apply(operator.unknowns(u))
@@ -260,14 +266,10 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
     nonlinear_residual = float(np.max(np.abs(F[operator.source_rows])))
 
     # diagnostics: maximum principle and inner normal-derivative sign
-    interior = u[1:-1, :] if inner_mode == "trapped_const" else u[:-1, :]
-    bvals = [u[-1, :]]
-    if inner_mode == "trapped_const":
-        bvals.append(u[0, :])
-    bmin = min(float(v.min()) for v in bvals)
-    bmax = max(float(v.max()) for v in bvals)
-    mp_violation = max(0.0, bmin - float(interior.min()),
-                       float(interior.max()) - bmax)
+    rings = operator.fixed.all(axis=1)          # the Dirichlet rings
+    interior, bvals = u[~rings], u[rings]
+    mp_violation = max(0.0, float(bvals.min() - interior.min()),
+                       float(interior.max() - bvals.max()))
     diag = {
         # max|G(u_k) - u_k| per step; G(u) is the linear solve with the
         # source frozen at u, and the field returned is the last G(u_k)

@@ -9,9 +9,9 @@ only what their inputs determine: an elliptic operator's factor (the
 angular eigenvectors, found from the two half-size eigenproblems of the
 grid's mirror symmetry theta -> pi - theta, and one banded LU per radial
 mode), and the module's Gauss-Legendre rules, one per node count, built
-on first use.  A linear solve is either a direct solve plus one
-refinement solve, or, from a given start, one solve of the correction.
-numpy is the only dependency.
+on first use.  Every linear solve is one solve of the correction from a
+field that already holds the Dirichlet data.  numpy is the only
+dependency.
 
 Conventions
 -----------
@@ -125,6 +125,9 @@ def _fd_derivative(fn, order):
 # Nonuniform 3-point stencils (exact on quadratics)
 # ---------------------------------------------------------------------------
 
+_OTHERS = ((1, 2), (0, 2), (0, 1))      # the other two nodes of each node
+
+
 def stencil_d1(z0, z1, z2):
     """First-derivative weights at (z0, z1, z2) for each of the three nodes.
 
@@ -133,18 +136,11 @@ def stencil_d1(z0, z1, z2):
     """
     z = np.array([z0, z1, z2], dtype=float)
     W = np.empty((3, 3) + z.shape[1:])
-    for i in range(3):
-        for j in range(3):
-            others = [k for k in range(3) if k != j]
-            num = 0.0
-            for m in others:
-                prod = 1.0
-                for n in others:
-                    if n != m:
-                        prod *= z[i] - z[n]
-                num += prod
-            den = np.prod([z[j] - z[n] for n in others], axis=0)
-            W[i, j] = num / den
+    for j, (a, b) in enumerate(_OTHERS):
+        # the derivative of node j's Lagrange basis parabola at z_i
+        den = (z[j] - z[a]) * (z[j] - z[b])
+        for i in range(3):
+            W[i, j] = ((z[i] - z[b]) + (z[i] - z[a])) / den
     return W
 
 
@@ -152,12 +148,8 @@ def stencil_d2(z0, z1, z2):
     """Second-derivative weights of the parabola through (z0, z1, z2),
     one column per triple for arrays of node triples."""
     z = np.array([z0, z1, z2], dtype=float)
-    W = np.empty((3,) + z.shape[1:])
-    for j in range(3):
-        others = [k for k in range(3) if k != j]
-        den = np.prod([z[j] - z[n] for n in others], axis=0)
-        W[j] = 2.0 / den
-    return W
+    return np.stack([2.0 / ((z[j] - z[a]) * (z[j] - z[b]))
+                     for j, (a, b) in enumerate(_OTHERS)])
 
 
 def lagrange_weights(nodes, z):
@@ -241,34 +233,39 @@ def gauss_x_nodes(n=64):
 
 
 def _gauss_legendre(n):
-    """Newton's method on the Legendre recurrence for the roots x_k >= 0 of
-    P_n from cos(pi (k - 1/4)/(n + 1/2)), mirrored to the negative half so
-    the rule is exactly symmetric; w = 2/((1 - x^2) P_n'(x)^2), scaled to
-    total weight 2."""
+    """Newton's method in t on the cosine series
+    P_n(cos t) = sum_k a_k a_{n-k} cos((n - 2k) t), a_k = C(2k, k)/4^k,
+    for the roots with x = cos t >= 0, from t = pi (k - 1/4)/(n + 1/2);
+    mirrored to the negative half so the rule is exactly symmetric;
+    w = 2/(dP_n/dt)^2, scaled to total weight 2."""
     if n < 1:
         raise ValueError("need at least one Gauss node")
-    k = np.arange(1, (n + 1) // 2 + 1)
-    x = np.cos(np.pi * (k - 0.25) / (n + 0.5))
+    k = np.arange(1, n + 1)
+    a = np.cumprod(np.append(1.0, (2 * k - 1) / (2 * k)))
+    m, c = n - 2 * np.arange(n + 1), a * a[::-1]
+
+    def series(t):
+        # (P_n(cos t), dP_n/dt) at t = t0 + e, t0 on a 2^-40 grid: m t0
+        # is exact for n < 4096 and |m e| < 1e-8, so cos(m e) = 1 and
+        # sin(m e) = m e to rounding
+        t0 = np.round(t * 2.0 ** 40) / 2.0 ** 40
+        mt, me = np.outer(t0, m), np.outer(t - t0, m)
+        cos, sin = np.cos(mt), np.sin(mt)
+        return (cos - sin * me) @ c, -(sin + cos * me) @ (m * c)
+
+    t = np.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5)
     for _ in range(100):
-        p, dp = _legendre(n, x)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) <= 1e-15:
+        p, dp = series(t)
+        t = t - (step := p / dp)
+        if np.max(np.abs(step)) <= 1e-15:
             break
+    x = np.cos(t)
     if n % 2:
         x[-1] = 0.0
-    w = 2.0 / ((1.0 - x * x) * _legendre(n, x)[1] ** 2)
+    w = 2.0 / series(t)[1] ** 2
     x = np.concatenate([x, -x[:n // 2][::-1]])
     w = np.concatenate([w, w[:n // 2][::-1]])
     return x, w * (2.0 / w.sum())
-
-
-def _legendre(n, x):
-    """(P_n(x), P_n'(x)) by the three-term recurrence, |x| < 1."""
-    p0, p1 = np.ones_like(x), x
-    for m in range(1, n):
-        p0, p1 = p1, ((2 * m + 1) * x * p1 - m * p0) / (m + 1)
-    return p1, n * (x * p1 - p0) / (x * x - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -466,51 +463,56 @@ def band_lu(lower2, lower1, diag, upper1, upper2):
     system, and the off-diagonals at offsets -2, -1, +1, +2 are (n,)
     arrays indexed by row (entries that would leave the matrix are zero).
 
-    Eliminates row by row with whole-array operations over the systems.
-    Returns (l2, l1, u1, rpiv), each (n, K): the multipliers of rows i - 2
-    and i - 1, U's first superdiagonal and the reciprocal pivots (U's
-    second superdiagonal is ``upper2`` itself).  Raises
-    SingularFactorError at the first zero pivot.
+    Eliminates row by row with whole-array operations over the systems,
+    on lists of row views.  Returns (l2, l1, u1, rpiv), each (n, K): the
+    multipliers of rows i - 2 and i - 1, U's first superdiagonal and the
+    reciprocal pivots (U's second superdiagonal is ``upper2`` itself).
+    Raises SingularFactorError at the first zero pivot.
     """
     n, K = diag.shape
     l2, l1 = np.zeros((n, K)), np.zeros((n, K))
     u1, piv = np.empty((n, K)), np.empty((n, K))
     off = np.max(np.abs([lower2, lower1, upper1, upper2]), axis=0)
+    L2, L1, U1, P, D = list(l2), list(l1), list(u1), list(piv), list(diag)
+    lo2, lo1, up1, up2, off = (np.asarray(c).tolist() for c in (
+        lower2, lower1, upper1, upper2, off))
     for i in range(n):
-        a1, d, c1 = lower1[i], diag[i], upper1[i]
-        if lower2[i] != 0.0:
-            l2[i] = lower2[i] / piv[i - 2]
-            a1 = a1 - l2[i] * u1[i - 2]
-            d = d - l2[i] * upper2[i - 2]
+        a1, d, c1 = lo1[i], D[i], up1[i]
+        if lo2[i] != 0.0:
+            L2[i][:] = lo2[i] / P[i - 2]
+            a1 = a1 - L2[i] * U1[i - 2]
+            d = d - L2[i] * up2[i - 2]
         if i:
-            l1[i] = a1 / piv[i - 1]
-            d = d - l1[i] * u1[i - 1]
-            c1 = c1 - l1[i] * upper2[i - 1]
-        scale = np.maximum(off[i], np.abs(diag[i]))
+            L1[i][:] = a1 / P[i - 1]
+            d = d - L1[i] * U1[i - 1]
+            c1 = c1 - L1[i] * up2[i - 1]
+        scale = np.maximum(off[i], np.abs(D[i]))
         if not np.all(np.abs(d) > _PIVOT_TOL * scale):
             raise SingularFactorError(
                 f"zero pivot in row {i} of the radial mode systems")
-        piv[i], u1[i] = d, c1
+        P[i][:], U1[i][:] = d, c1
     return l2, l1, u1, 1.0 / piv
 
 
 def band_solve(factor, lower2, upper2, rhs):
     """Solve the systems of ``band_lu``'s factor (of a matrix with outer
     diagonals ``lower2`` and ``upper2``) for the (n, K) right-hand sides
-    ``rhs``, one column per system."""
-    l2, l1, u1, rpiv = factor
+    ``rhs``, one column per system, on lists of row views."""
+    l2, l1, u1, rpiv = (list(a) for a in factor)
+    lo2, up2 = np.asarray(lower2).tolist(), np.asarray(upper2).tolist()
     y = np.array(rhs, dtype=float)
-    n = y.shape[0]
+    rows = list(y)
+    n = len(rows)
     for i in range(1, n):
-        y[i] -= l1[i] * y[i - 1]
-        if lower2[i] != 0.0:
-            y[i] -= l2[i] * y[i - 2]
-    y[n - 1] *= rpiv[n - 1]
+        rows[i] -= l1[i] * rows[i - 1]
+        if lo2[i] != 0.0:
+            rows[i] -= l2[i] * rows[i - 2]
+    rows[n - 1] *= rpiv[n - 1]
     for i in range(n - 2, -1, -1):
-        y[i] -= u1[i] * y[i + 1]
-        if upper2[i] != 0.0:
-            y[i] -= upper2[i] * y[i + 2]
-        y[i] *= rpiv[i]
+        rows[i] -= u1[i] * rows[i + 1]
+        if up2[i] != 0.0:
+            rows[i] -= up2[i] * rows[i + 2]
+        rows[i] *= rpiv[i]
     return y
 
 
@@ -616,9 +618,11 @@ class EllipticOperator:
     halves; an X that is not its own flip is refused.  In the modes
     w_i = V^-1 u[i, 1:-1] the system splits into one
     pentadiagonal radial system radial + lam_k diag(ring_scale) per mode,
-    and the centre unknown is eliminated by bordering.  The factor is
-    computed on the first solve and reused by every later one; it is the
-    only state the operator keeps.
+    and the centre unknown is eliminated by bordering.  ``solve`` takes a
+    right-hand side that is zero at the fixed nodes, as a correction's
+    is, so only the axis rows' values move to the other side.  The factor
+    is computed on the first solve and reused by every later one; it is
+    the only state the operator keeps.
     """
 
     def __init__(self, radial, ring_scale, angular, axis_weights, fixed,
@@ -648,51 +652,22 @@ class EllipticOperator:
 
     # -- the operator, matrix-free ---------------------------------------
 
-    def _ring_rows(self, u):
-        """Radial plus angular rows at the interior columns of every ring
-        (the centre term left out); (N, M-1)."""
-        N = u.shape[0]
-        pad = np.zeros((N + 4, u.shape[1] - 2))
-        pad[2:-2] = u[:, 1:-1]
-        out = self.ring_scale[:, None] * (u @ self.angular.T)
-        for o in range(5):
-            out += self.radial[:, o, None] * pad[o:o + N]
-        return out
-
-    def _known_rows(self, u):
-        """``_ring_rows(u)`` on the free rings for a u that is zero except
-        on the fixed rings and the axis columns: the angular product of
-        the axis values (one per column, as each angular row reaches at
-        most one axis column) and the radial terms of the free rings
-        within two rings of a fixed one, added in ``_ring_rows``' order
-        without its zero terms, so bit for bit the same values."""
-        free, N = self._free, u.shape[0]
-        lo, hi = free.start, free.stop
-        X = self.angular
-        out = self.ring_scale[free, None] * (
-            u[free, 0, None] * X[:, 0] + u[free, -1, None] * X[:, -1])
-        for o, d in enumerate(range(-2, 3)):
-            # the free rings i whose ring i + d is a fixed one
-            if d < 0:
-                a, b = max(lo, -d), min(hi, lo - d)
-            elif d > 0:
-                a, b = max(lo, hi - d), min(hi, N - d)
-            else:
-                continue
-            if a < b:
-                out[a - lo:b - lo] += self.radial[a:b, o, None] \
-                    * u[a + d:b + d, 1:-1]
-        return out
-
     def apply(self, v):
         """A v for a vector of ``n_unknowns`` values."""
         v = np.asarray(v, dtype=float)
+        N = self.fixed.shape[0]
         u = v[:self.fixed.size].reshape(self.fixed.shape)
         out = v.copy()                   # the identity rows
         Au = out[:self.fixed.size].reshape(self.fixed.shape)
         free = self._free
         w_n, w_s = self.axis_weights
-        Au[free, 1:-1] = self._ring_rows(u)[free]
+        # radial plus angular rows on every ring, kept on the free ones
+        pad = np.zeros((N + 4, u.shape[1] - 2))
+        pad[2:-2] = u[:, 1:-1]
+        rows = self.ring_scale[:, None] * (u @ self.angular.T)
+        for o in range(5):
+            rows += self.radial[:, o, None] * pad[o:o + N]
+        Au[free, 1:-1] = rows[free]
         Au[free, 0] -= u[free, 1:4] @ w_n
         Au[free, -1] -= u[free, -4:-1] @ w_s
         if self.centre is not None:
@@ -729,14 +704,14 @@ class EllipticOperator:
             self.factorizations += 1
         return self._factor
 
-    def reduced_angular(self):
-        """The (M-1, M-1) angular matrix on the interior columns, with the
-        axis rows eliminated (each axis value is the extrapolation of the
-        next three columns)."""
-        X, (w_n, w_s) = self.angular, self.axis_weights
-        Xr = X[:, 1:-1].copy()
-        Xr[:, :3] += np.outer(X[:, 0], w_n)
-        Xr[:, -3:] += np.outer(X[:, -1], w_s)
+    def reduced_angular(self, X=None):
+        """The (M-1, M-1) angular matrix (or the rows X, M+1 long) on the
+        interior columns, with the axis rows eliminated (each axis value
+        is the extrapolation of the next three columns)."""
+        X, (w_n, w_s) = self.angular if X is None else X, self.axis_weights
+        Xr = X[..., 1:-1].copy()
+        Xr[..., :3] += X[..., :1] * w_n
+        Xr[..., -3:] += X[..., -1:] * w_s
         return Xr
 
     def _build_factor(self):
@@ -750,18 +725,11 @@ class EllipticOperator:
         if self.centre is None:
             return ModeFactor(V, Vinv, cond, band, R[:, 0], R[:, 4])
         coupling, w0, w1 = self.centre
-        w_n, w_s = self.axis_weights
         unit = np.zeros((R.shape[0], V.shape[0]))
         unit[0] = coupling * Vinv.sum(axis=1)
         z = band_solve(band, R[:, 0], R[:, 4], unit)
-        # the centre row on the interior columns: the axis values are
-        # the extrapolations of the next three columns
-        modes = []
-        for w in (w0, w1):
-            wi = w[1:-1].copy()
-            wi[:3] += w[0] * w_n
-            wi[-3:] += w[-1] * w_s
-            modes.append(V.T @ wi)
+        # the centre row on the interior columns, in modes
+        modes = [V.T @ self.reduced_angular(w) for w in (w0, w1)]
         pivot = 1.0 - (modes[0] @ z[0] + modes[1] @ z[1])
         scale = 1.0 + abs(modes[0] @ z[0]) + abs(modes[1] @ z[1])
         if not abs(pivot) > _PIVOT_TOL * scale:
@@ -771,20 +739,22 @@ class EllipticOperator:
                           (z, *modes, float(pivot)))
 
     def solve(self, b):
-        """The v with A v = b, by the factor: V^-1 along the angular
-        index, one banded solve per mode, the centre by bordering, V
-        back.  The fixed nodes are copied from b."""
+        """The v with A v = b for a b that is zero at the fixed nodes (the
+        right-hand side of a correction), by the factor: the axis rows' b
+        through the angular matrix's two outer columns, V^-1 along the
+        angular index, one banded solve per mode, the centre by
+        bordering, V back.  The fixed nodes of v are zero."""
         f = self.factor()
         b = np.asarray(b, dtype=float)
         shape, free = self.fixed.shape, self._free
         nodes = b[:self.fixed.size].reshape(shape)
-        # the known values: Dirichlet rings and the axis rows' b
-        u = np.zeros(shape)
-        u[self.fixed] = nodes[self.fixed]
+        v = np.zeros(self.n_unknowns)
+        u = v[:self.fixed.size].reshape(shape)
         u[free, 0], u[free, -1] = nodes[free, 0], nodes[free, -1]
-        rhs = nodes[free, 1:-1] - self._known_rows(u)
+        X = self.angular
+        rhs = nodes[free, 1:-1] - self.ring_scale[free, None] * (
+            u[free, 0, None] * X[:, 0] + u[free, -1, None] * X[:, -1])
         w = band_solve(f.band, f.lower2, f.upper2, rhs @ f.Vinv.T)
-        v = np.empty(self.n_unknowns)
         if self.centre is not None:
             _, w0, w1 = self.centre
             z, m0, m1, pivot = f.centre
@@ -797,7 +767,6 @@ class EllipticOperator:
         u[free, 1:-1] = inner
         u[free, 0] += inner[:, :3] @ w_n
         u[free, -1] += inner[:, -3:] @ w_s
-        v[:self.fixed.size] = u.ravel()
         return v
 
     @property
@@ -816,29 +785,24 @@ class EllipticOperator:
 
 def solve_linear_elliptic(operator: EllipticOperator, source,
                           boundary_values, start=None):
-    """Direct solve of the operator's equations for one source.
+    """Direct solve of the operator's equations for one source, as one
+    correction from a field that holds the Dirichlet data.
 
     ``source`` holds the right-hand side at the stencil nodes and
     ``boundary_values`` the Dirichlet values at ``operator.fixed``; both
-    are (N, M+1).  Without ``start``, one step of iterative refinement
-    follows the solve: the transforms by V amplify rounding by up to
-    cond(V) in the rows with the largest coefficients (the innermost
-    rings), and a second solve, of the residual, removes that (on
-    hyperbolic_negschw at n = 48 the largest residual falls from 9.5e-9
-    to 4.6e-10).  With ``start`` = u_k, an (N, M+1) field (its fixed
-    nodes replaced by the Dirichlet values), the one solve is of the
-    correction: u_k + A~^-1 (b - A u_k), where A~^-1 is the factor's
-    solve, so the rounding scales with the correction and a fixed point
-    is still exactly A u = b.  Returns (u, info) with
-    'residual' = max|A v - b| from the matrix-free ``apply`` and
-    'sweeps' = 0 (a direct solve does no relaxation sweeps).
+    are (N, M+1).  ``start`` (an (N, M+1) field, zero when not given)
+    with its fixed nodes replaced by the Dirichlet values is v, and the
+    result is v + A~^-1 (b - A v), A~^-1 the factor's solve.  The
+    correction's right-hand side is zero at the fixed nodes, its rounding
+    (the transforms by V amplify it by up to cond(V)) scales with the
+    correction, and a fixed point is still exactly A u = b.  Returns
+    (u, info) with 'residual' = max|A v - b| from the matrix-free
+    ``apply`` and 'sweeps' = 0 (a direct solve does no relaxation
+    sweeps).
     """
     b = operator.rhs(source, boundary_values)
-    if start is None:
-        v = operator.solve(b)
-    else:
-        v = operator.unknowns(np.where(operator.fixed, boundary_values,
-                                       start))
+    v = operator.unknowns(np.where(operator.fixed, boundary_values,
+                                   0.0 if start is None else start))
     v += operator.solve(b - operator.apply(v))
     residual = float(np.max(np.abs(operator.apply(v) - b)))
     u = v[:operator.fixed.size].reshape(operator.fixed.shape)

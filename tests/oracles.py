@@ -26,9 +26,9 @@ is numpy's own Gauss-Legendre rule, the oracle of
 column from the matrix-free ``apply`` and solves it by Gaussian
 elimination with partial pivoting, and ``full_eig`` is the eigenproblem of
 the whole reduced angular matrix that ``numgrid.mirror_eig`` splits in
-two.  ``ring_rows_full`` is the full pass over the whole field with which
-``EllipticOperator.solve`` used to move the known values to the
-right-hand side.
+two.  ``band_lu_indexed`` and ``band_solve_indexed`` are the banded
+factor and solve as they indexed the 2-D arrays once per row, which the
+loops over row views of ``numgrid`` must match bit for bit.
 
 ``envelope_json`` is the two-pass writer of the report envelope, a
 conversion to plain JSON values followed by ``json.dumps``, that
@@ -52,7 +52,8 @@ import numpy as np
 from cornermass.geometry import scalar_curvature
 from cornermass.harmonic.fields import _areal_vals
 from cornermass.harmonic.massbound import _volume_weights
-from cornermass.numgrid import integrate_ode, stencil_d1, stencil_d2
+from cornermass.numgrid import (_PIVOT_TOL, integrate_ode, stencil_d1,
+                                stencil_d2)
 
 
 def metric_at(patch, x):
@@ -257,24 +258,51 @@ def dense_elliptic_solve(operator, source, boundary_values):
     return np.linalg.solve(A, b), A, b
 
 
+def band_lu_indexed(lower2, lower1, diag, upper1, upper2):
+    """``numgrid.band_lu`` as it indexed the 2-D arrays once per row."""
+    n, K = diag.shape
+    l2, l1 = np.zeros((n, K)), np.zeros((n, K))
+    u1, piv = np.empty((n, K)), np.empty((n, K))
+    off = np.max(np.abs([lower2, lower1, upper1, upper2]), axis=0)
+    for i in range(n):
+        a1, d, c1 = lower1[i], diag[i], upper1[i]
+        if lower2[i] != 0.0:
+            l2[i] = lower2[i] / piv[i - 2]
+            a1 = a1 - l2[i] * u1[i - 2]
+            d = d - l2[i] * upper2[i - 2]
+        if i:
+            l1[i] = a1 / piv[i - 1]
+            d = d - l1[i] * u1[i - 1]
+            c1 = c1 - l1[i] * upper2[i - 1]
+        scale = np.maximum(off[i], np.abs(diag[i]))
+        assert np.all(np.abs(d) > _PIVOT_TOL * scale)
+        piv[i], u1[i] = d, c1
+    return l2, l1, u1, 1.0 / piv
+
+
+def band_solve_indexed(factor, lower2, upper2, rhs):
+    """``numgrid.band_solve`` as it indexed the 2-D arrays once per row."""
+    l2, l1, u1, rpiv = factor
+    y = np.array(rhs, dtype=float)
+    n = y.shape[0]
+    for i in range(1, n):
+        y[i] -= l1[i] * y[i - 1]
+        if lower2[i] != 0.0:
+            y[i] -= l2[i] * y[i - 2]
+    y[n - 1] *= rpiv[n - 1]
+    for i in range(n - 2, -1, -1):
+        y[i] -= u1[i] * y[i + 1]
+        if upper2[i] != 0.0:
+            y[i] -= upper2[i] * y[i + 2]
+        y[i] *= rpiv[i]
+    return y
+
+
 def full_eig(X):
     """(lam, V, V^-1, cond(V)) of a real matrix by one ``numpy.linalg.eig``
     of the whole matrix, ``numpy.linalg.inv`` and ``numpy.linalg.cond``."""
     lam, V = np.linalg.eig(X)
     return lam, V, np.linalg.inv(V), float(np.linalg.cond(V))
-
-
-def ring_rows_full(operator, u):
-    """The radial plus angular rows of ``operator`` at the interior
-    columns of its free rings, by one angular matmul over every ring and
-    five shifted radial terms over the whole (N, M+1) field u."""
-    N = u.shape[0]
-    pad = np.zeros((N + 4, u.shape[1] - 2))
-    pad[2:-2] = u[:, 1:-1]
-    out = operator.ring_scale[:, None] * (u @ operator.angular.T)
-    for o in range(5):
-        out += operator.radial[:, o, None] * pad[o:o + N]
-    return out[operator._free]
 
 
 def _jsonable(obj):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -458,6 +459,185 @@ truncation = 12.0
         rc = cli.main(["massbound", "--config", path, "--deterministic"])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    """Inputs that escaped ``main`` as exit 1 with a traceback, each now
+    with its documented code (2 naming the key, 3, or 0 for a run that
+    is fine); negschw's delta = 1e300 already exited 3."""
+
+    @pytest.mark.parametrize("command, text, field", [
+        # the corner exclusion left a patch with no sample radius
+        ("constraints", "[run]\nscenario = hyperbolic_negschw\nsamples = 2\n",
+         "run.samples"),
+        ("constraints", "[run]\nscenario = shi_tam_glue\nsamples = 2\n",
+         "run.samples"),
+        ("constraints", "[run]\nscenario = hyperbolic_negschw\nsamples = 3\n",
+         "run.samples"),
+        ("massbound", "[run]\nscenario = shi_tam_glue\nresolutions = 16\n"
+         "[scenario]\nomega_tan = 0.5\n", "scenario.omega_tan"),
+        ("quasilocal", "[run]\nscenario = flat\n[quasilocal]\nr0 = 1e-300\n",
+         "quasilocal.r0"),
+        ("certificate", "[certificate]\nH = 1e200\n", "certificate.H"),
+        ("certificate", "[certificate]\nr0 = 1e300\nH = 2\n",
+         "certificate.r0"),
+        ("certificate", "[certificate]\nh_eff_sweep = 1e200 1e300 3\n",
+         "certificate.h_eff_sweep"),
+        # (H r0/2)^2 of the glued scenario overflows
+        ("constraints", "[run]\nscenario = shi_tam_glue\n"
+         "[scenario]\nr0 = 1e300\n", "scenario.r0"),
+        ("quasilocal", "[run]\nscenario = shi_tam_glue\n"
+         "[scenario]\nH = 1e200\n[quasilocal]\nr0 = 0.5\n", "scenario.H"),
+        ("quasilocal", "[run]\nscenario = polynomial\n"
+         "[scenario]\nf_inv_coeffs = inf\n[quasilocal]\nr0 = 12\n",
+         "scenario.f_inv_coeffs"),
+    ], ids=["samples_2_negschw", "samples_2_shi_tam", "samples_3_negschw",
+            "omega_tan", "r0_tiny", "H_huge", "r0_huge", "sweep_huge",
+            "glue_r0_huge", "glue_H_huge", "coefficient_inf"])
+    def test_config_error(self, tmp_path, capsys, command, text, field):
+        path = write(tmp_path, "x.cfg", text)
+        with pytest.raises(ConfigError) as exc:
+            cli._COMMANDS[command](cli.parse_config(path),
+                                   cli.parse_args([command]))
+        assert exc.value.field == field
+        assert cli.main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and field in err
+
+    def test_omega_tan_refused_before_any_solve(self, tmp_path, monkeypatch):
+        from cornermass.harmonic import solver
+        monkeypatch.setattr(solver, "solve_linear_elliptic", None)
+        path = write(tmp_path, "x.cfg", "[run]\nscenario = shi_tam_glue\n"
+                     "resolutions = 16\n[scenario]\nomega_tan = 0.5\n")
+        assert cli.main(["massbound", "--config", path]) == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scenario", ["shi_tam_glue", "hyperbolic_negschw"])
+    def test_delta_without_finite_square_exits_3(self, tmp_path, capsys,
+                                                 scenario):
+        path = write(tmp_path, "x.cfg", f"[run]\nscenario = {scenario}\n"
+                     "resolutions = 16\ndelta = 1e300\n")
+        assert cli.main(["massbound", "--config", path]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure")
+
+    def test_extension_overflow_exits_3(self, tmp_path, capsys):
+        # finite data whose mean curvature at r0 (4.8e148) overflows
+        # the matched extension's (H r0/2)^2
+        path = write(tmp_path, "x.cfg", "[run]\nscenario = polynomial\n"
+                     "[scenario]\nf_inv_coeffs = 1e300\n"
+                     "[quasilocal]\nr0 = 12\n")
+        assert cli.main(["quasilocal", "--config", path]) == 3
+        assert "no matched extension" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r0", ["4.51119805314669e-38",
+                                    "2.980994576584466e-145"])
+    def test_small_sphere_runs(self, tmp_path, capsys, r0):
+        # the glued scenario's patch checks sample inside a patch that
+        # ends below r = 1e-8
+        path = write(tmp_path, "x.cfg", "[run]\nscenario = flat\n"
+                     f"[quasilocal]\nr0 = {r0}\n")
+        assert cli.main(["quasilocal", "--config", path]) == 0
+
+
+class TestConfigFuzz:
+    """Seeded random configs through ``main``: the exit code is 0, 1, 2 or
+    3 and no exception escapes; exit 2 names a key or the scenario on
+    stderr, and exit 1 comes with a false verdict.  Values are mostly
+    valid, one in seven from ``BAD``; counts and grid sizes stay small,
+    so every draw is cheap.  A failing draw becomes a test of
+    ``TestExitCodes`` and stays among the draws."""
+
+    BAD = ["0", "-1", "1e-300", "1e300", "-1e300", "1e200", "inf", "nan",
+           "x", "1 2", "true"]
+    SCENARIOS = {
+        "flat": {"r_out": ["100", "260"]},
+        "schwarzschild": {"m": ["0.5", "1", "2"], "r_out": ["100", "260"]},
+        "isotropic_schwarzschild": {"m": ["0.5", "1"]},
+        "hyperbolic_negschw": {"k_sign": ["1", "-1"]},
+        "shi_tam_glue": {"r0": ["0.5", "1", "2"], "H": ["1", "2", "3"],
+                         "omega_nn": ["0", "0.3", "0.7", "-0.5"],
+                         "omega_tan": ["0", "0.5"]},
+        "polynomial": {"f_inv_coeffs": ["-1", "-1 0.5", "0.2"],
+                       "a_inv_coeffs": ["0.1", "0 0.1"], "r_in": ["1", "2"]},
+    }
+    KEYS = {
+        "constraints": {
+            "run.samples": ["2", "3", "4", "8", "33", "96"],
+            "run.dec_tolerance": ["0", "1e-8", "1e-3"],
+            "run.direction": ["1", "-1"],
+        },
+        "massbound": {
+            "run.resolutions": ["8", "8 12", "12 16", "8 12 16"],
+            "run.n_theta": ["8", "12"],
+            "run.truncation": ["10", "15", "30"],
+            "run.r_inner": ["0.5", "1", "2.5", "5"],
+            "run.direction": ["1", "-1"],
+            "run.delta": ["1e-2", "1e-4", "0.5", "10"],
+            "run.picard_tol": ["1e-9", "1e-6", "1e-12"],
+            "run.adm_radii": ["50 100 200", "50 100", "10 20 40", "100 200"],
+        },
+        "quasilocal": {
+            "quasilocal.r0": ["0.5", "1", "1.5", "2", "3", "5", "12"],
+            "quasilocal.side": ["auto", "minus", "plus"],
+            "quasilocal.omega_tan": ["0", "0.5", "-1", "3"],
+            "quasilocal.hull_radii": ["2.6 3.0 3.5", "3 4", "0.5 1"],
+        },
+        "certificate": {
+            "certificate.r0": ["0.5", "1", "2", "10"],
+            "certificate.H": ["0.5", "1", "2", "3", "5"],
+            "certificate.tr_alpha": ["0", "0.5", "-2"],
+            "certificate.beta": ["0", "0.5", "3"],
+            "certificate.h_eff_sweep": ["0.5 1.5 5", "1 3 7", "0.1 4 2"],
+        },
+    }
+
+    def _value(self, rng, pool):
+        return rng.choice(self.BAD) if rng.random() < 1 / 7 \
+            else rng.choice(pool)
+
+    def _draw(self, rng):
+        """(command, {section: {key: value text}})."""
+        command = rng.choice(sorted(self.KEYS))
+        cfg = {}
+        if command != "certificate":
+            name = rng.choice(sorted(self.SCENARIOS) + ["nope"])
+            cfg["run"] = {"scenario": name}
+            cfg["scenario"] = {
+                key: self._value(rng, pool)
+                for key, pool in self.SCENARIOS.get(name, {}).items()
+                if rng.random() < 0.5}
+        for key, pool in self.KEYS[command].items():
+            if key == "run.resolutions" or rng.random() < 0.4:
+                section, _, name = key.partition(".")
+                cfg.setdefault(section, {})[name] = self._value(rng, pool)
+        return command, "".join(
+            f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in
+                                       keys.items())
+            for section, keys in cfg.items())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_draws_keep_the_exit_code_contract(self, tmp_path, capsys, seed):
+        rng = random.Random(seed)
+        path, out = tmp_path / "f.cfg", tmp_path / "f.json"
+        for draw in range(100):
+            command, text = self._draw(rng)
+            path.write_text(text, encoding="utf-8")
+            out.unlink(missing_ok=True)
+            where = f"seed {seed}, draw {draw}: {command}\n{text}"
+            try:
+                rc = cli.main([command, "--config", str(path), "--out",
+                               str(out)])
+            except Exception as exc:
+                pytest.fail(f"{type(exc).__name__}: {exc} at {where}")
+            err = capsys.readouterr().err
+            assert rc in (0, 1, 2, 3), where
+            if rc == 2:
+                assert re.search(r"^config error.*\b(run|scenario|"
+                                 r"quasilocal|certificate)\b", err), where
+            if rc == 1:
+                verdicts = json.loads(out.read_text())["verdicts"]
+                assert False in verdicts.values(), where
 
 
 class TestImportPath:

@@ -41,6 +41,19 @@ class TestSolver:
         assert fld.diagnostics["linear"]["residual"] <= 5e-9 * 30.0
         assert fld.diagnostics["nonlinear_residual"] <= 5e-9 * 30.0
 
+    def test_k_zero_one_factor_solve(self, monkeypatch):
+        # the one linear solve is one correction from the boundary data,
+        # so one pass through the factor
+        from cornermass.numgrid import EllipticOperator
+        calls = []
+        solve = EllipticOperator.solve
+        monkeypatch.setattr(EllipticOperator, "solve",
+                            lambda op, b: calls.append(1) or solve(op, b))
+        data = scenario_build("schwarzschild", m=1.0)
+        fld = solve_spacetime_harmonic(data, n_r=32, n_theta=32, L=30.0)
+        assert fld.diagnostics["linear"]["solves"] == 1
+        assert len(calls) == 1
+
     def test_maximum_principle(self):
         for name in ("flat", "schwarzschild", "hyperbolic_negschw"):
             data = scenario_build(name)
@@ -491,6 +504,21 @@ class TestMassBound:
         fld = solve_spacetime_harmonic(data, n_r=16, n_theta=16, L=10.0)
         mass_bound_report(data, fld, adm, +1)
         assert len(calls) == 1
+
+    def test_volume_weights_corner_half_cells_by_side(self, monkeypatch):
+        # with every node masked, the excluded volume is the total: the
+        # corner ring's upper half-cell has the plus side's density (1.538
+        # against 1.0 below it), as in the bulk integral
+        from cornermass.harmonic import massbound
+        monkeypatch.setattr(massbound, "critical_mask", lambda fld, hes:
+                            np.ones(fld.values.shape, dtype=bool))
+        data = scenario_build("shi_tam_glue", omega_nn=0.7)
+        adm = masses.adm_energy_momentum(data, ADM_RADII)
+        fld = solve_spacetime_harmonic(data, n_r=32, n_theta=32, L=30.0)
+        rep = mass_bound_report(data, fld, adm, +1)
+        assert rep.diagnostics["critical_excluded_volume"] == pytest.approx(
+            115733.909, abs=1e-3)
+        assert rep.diagnostics["critical_excluded_fraction"] == 1.0
 
     def test_counterexample_books_balance(self):
         # lhs - bulk - corner settles to zero within the tracked

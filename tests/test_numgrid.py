@@ -305,9 +305,10 @@ class TestSeparatedSolveOracle:
         bound = 10.0 * np.linalg.cond(A) * np.finfo(float).eps \
             * np.max(np.abs(v))
         assert np.max(np.abs(u - dense)) <= bound
-        # one separated solve alone, before the refinement step, and the
-        # centre value with it
-        assert np.max(np.abs(op.solve(b) - v)) <= bound
+        # the one correction from the boundary data, with the centre
+        # value
+        v0 = op.unknowns(np.where(op.fixed, boundary, 0.0))
+        assert np.max(np.abs(v0 + op.solve(b - op.apply(v0)) - v)) <= bound
         assert info["residual"] <= 1e-12 * np.max(np.abs(A)) \
             * np.max(np.abs(v))
         assert np.array_equal(u[op.fixed], boundary[op.fixed])
@@ -355,58 +356,33 @@ class TestSeparatedSolveOracle:
             assert np.array_equal(u[op.fixed], boundary[op.fixed])
         assert len(solves) == 2 and op.factorizations == 1
 
-    @staticmethod
-    def _known_field(op, rng):
-        """A field that is zero except on the fixed rings and on the axis
-        columns of the free rings."""
-        u = np.zeros(op.fixed.shape)
-        u[op.fixed] = rng.standard_normal(op.fixed.sum())
-        free = op._free
-        u[free, 0], u[free, -1] = rng.standard_normal((2, free.stop
-                                                       - free.start))
-        return u
 
-    @pytest.mark.parametrize("name, params", [
-        ("hyperbolic_negschw", {}),
-        ("schwarzschild", {"m": 1.0}),
-        ("flat", {}),
-    ], ids=["negschw", "schwarzschild", "flat"])
-    def test_known_rows_match_full_pass(self, monkeypatch, name, params):
-        # negschw has a centre and a corner, schwarzschild a Dirichlet
-        # inner ring and flat a centre: the sparse pass over the known
-        # values equals the full pass bit for bit, and so does the solve
-        from oracles import ring_rows_full
-        _, op = self._operator(name, **params)
-        rng = np.random.default_rng(11)
-        u = self._known_field(op, rng)
-        assert np.array_equal(op._known_rows(u), ring_rows_full(op, u))
-        b = rng.standard_normal(op.n_unknowns)
-        v = op.solve(b)
-        monkeypatch.setattr(op, "_known_rows",
-                            lambda u: ring_rows_full(op, u))
-        assert np.array_equal(op.solve(b), v)
-
-    @pytest.mark.parametrize("inner, outer", [(2, 2), (1, 2), (0, 1)])
-    def test_known_rows_full_radial_band(self, inner, outer):
-        # every radial diagonal nonzero and up to two fixed rings at each
-        # end, so a free ring next to them takes two radial terms (the
-        # solver's operators have zero outer diagonals on those rings);
-        # three terms meet only in the edge columns, so many fields are
-        # needed to see an order of summation
-        from oracles import ring_rows_full
-        rng = np.random.default_rng(5)
-        N, M = 12, 10
-        angular = np.zeros((M - 1, M + 1))
-        for j in range(M - 1):
-            angular[j, j:j + 3] = rng.standard_normal(3)
-        fixed = np.zeros((N, M + 1), dtype=bool)
-        fixed[:inner] = fixed[N - outer:] = True
-        op = numgrid.EllipticOperator(
-            rng.standard_normal((N, 5)), rng.uniform(0.5, 2.0, N), angular,
-            (rng.standard_normal(3), rng.standard_normal(3)), fixed, ~fixed)
-        for _ in range(200):
-            u = self._known_field(op, rng)
-            assert np.array_equal(op._known_rows(u), ring_rows_full(op, u))
+class TestBandRowViews:
+    def test_bit_identical_to_indexed_loops(self, monkeypatch):
+        # the finest negschw massbound grid (n = 48, L = 30): its factor
+        # and a solve on it, exactly as the 2-D indexed loops give them
+        from oracles import band_lu_indexed, band_solve_indexed
+        from cornermass.corner import scenario_build
+        from cornermass.harmonic.fields import (build_coefficients,
+                                                build_solver_grid)
+        from cornermass.harmonic.solver import _assemble_operator
+        data = scenario_build("hyperbolic_negschw")
+        op = _assemble_operator(build_coefficients(
+            data, build_solver_grid(data, 48, 48, 30.0)), "center")
+        calls = []
+        band_lu = numgrid.band_lu
+        monkeypatch.setattr(numgrid, "band_lu", lambda *args: calls.append(
+            (args, band_lu(*args))) or calls[-1][1])
+        f = op.factor()
+        (args, got), = calls
+        for a, b in zip(got, band_lu_indexed(*args)):
+            assert np.array_equal(a, b)
+        rhs = np.random.default_rng(3).standard_normal(
+            (len(f.lower2), f.V.shape[0]))
+        assert np.array_equal(
+            numgrid.band_solve(f.band, f.lower2, f.upper2, rhs),
+            band_solve_indexed(f.band, f.lower2, f.upper2, rhs))
+        assert np.any(f.lower2 != 0.0) and np.any(f.upper2 != 0.0)
 
 
 class TestMirrorEig:
