@@ -150,7 +150,8 @@ def _scenario_from_config(cfg):
     params = {}
     for key, val in cfg.items():
         if key.startswith("scenario."):
-            _number(cfg, key, many=True, need="a finite number or list")
+            _number(cfg, key, many=True,
+                    need="a finite number or a list of them")
             params[key.split(".", 1)[1]] = val
     try:
         data = corner.scenario_build(name, **params)
