@@ -19,7 +19,13 @@ keys are namespaced as ``section.key``.  Reports are versioned JSON
 header row, comma separator and decimal point.
 
 Exit codes: 0 success / verdict pass, 1 verdict fail, 2 config error or
-bad argument line, 3 numerical failure.
+bad argument line, 3 numerical failure.  numpy's floating-point warnings
+are off while a command runs, so a command that fails writes only its
+error line to stderr; the finiteness checks decide the exit code.
+
+Work sizes are bounded before anything is allocated: ``run.resolutions``
+and ``run.n_theta`` by MAX_GRID, ``run.samples`` and the count of
+``certificate.h_eff_sweep`` by MAX_ROWS; a larger count exits 2.
 """
 
 from __future__ import annotations
@@ -46,6 +52,11 @@ from .harmonic import (SolveOptions, build_solver_grid, mass_bound_sweep,
                        solve_spacetime_harmonic)
 
 SCHEMA_VERSION = 1
+
+# count bounds: MAX_GRID nodes per grid axis (the largest grid any study
+# of this tool has needed is 384), MAX_ROWS sampled radii or sweep rows
+MAX_GRID = 1024
+MAX_ROWS = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +293,8 @@ def _write_csv(path, header, rows):
 def cmd_constraints(cfg, args):
     data = _scenario_from_config(cfg)
     samples = _number(cfg, "run.samples", 96, kind=int,
-                      ok=lambda n: n >= 2, need="an integer >= 2")
+                      ok=lambda n: 2 <= n <= MAX_ROWS,
+                      need=f"an integer in [2, {MAX_ROWS}]")
     tol = _number(cfg, "run.dec_tolerance", 1e-8, ok=lambda t: t >= 0,
                   need="a number >= 0")
     per_patch = []
@@ -317,11 +329,12 @@ def _massbound_run_keys(cfg, data):
     (resolutions, n_theta, truncation, r_inner, direction)."""
     resolutions = _number(
         cfg, "run.resolutions", [32, 64], kind=int, many=True,
-        ok=lambda ns: min(ns) >= 8 and all(
+        ok=lambda ns: min(ns) >= 8 and max(ns) <= MAX_GRID and all(
             b > a for a, b in zip(ns, ns[1:])),
-        need="strictly increasing integers >= 8")
-    n_theta = _number(cfg, "run.n_theta", kind=int, ok=lambda n: n >= 8,
-                      need="an integer >= 8")
+        need=f"strictly increasing integers in [8, {MAX_GRID}]")
+    n_theta = _number(cfg, "run.n_theta", kind=int,
+                      ok=lambda n: 8 <= n <= MAX_GRID,
+                      need=f"an integer in [8, {MAX_GRID}]")
     L = _number(cfg, "run.truncation", 30.0, ok=_positive,
                 need="a positive number")
     try:    # the grid builder judges the truncation on its smallest grid
@@ -433,8 +446,9 @@ def cmd_certificate(cfg, args):
     tr_alpha = _number(cfg, "certificate.tr_alpha", 0.0)
     beta_abs = _number(cfg, "certificate.beta", 0.0)
     sweep = _number(cfg, "certificate.h_eff_sweep", many=True,
-                    ok=lambda v: len(v) == 3 and v[2] == int(v[2]) >= 1,
-                    need="'lo hi n' with a count n >= 1")
+                    ok=lambda v: len(v) == 3
+                    and v[2] == int(v[2]) and 1 <= v[2] <= MAX_ROWS,
+                    need=f"'lo hi n' with a count n in [1, {MAX_ROWS}]")
     if sweep is None and H is None:
         raise ConfigError("need certificate.H or certificate.h_eff_sweep",
                           field="certificate.H")
@@ -659,11 +673,14 @@ def main(argv=None):
     # time does not hang on where the collector's counters stood then
     gc.freeze()
     try:
-        if args.config:
-            cfg = parse_config(args.config)
-        reports, verdicts, code = _COMMANDS[args.command](cfg, args)
-        emit(make_envelope(args.command, cfg, reports, verdicts, t0,
-                           args.deterministic), args.out)
+        # overflow and invalid values warn nowhere: the finiteness checks
+        # turn them into exit 3, with one error line on stderr
+        with np.errstate(all="ignore"):
+            if args.config:
+                cfg = parse_config(args.config)
+            reports, verdicts, code = _COMMANDS[args.command](cfg, args)
+            emit(make_envelope(args.command, cfg, reports, verdicts, t0,
+                               args.deterministic), args.out)
         return code
     except ConfigError as exc:
         loc = f" (line {exc.line})" if exc.line else ""

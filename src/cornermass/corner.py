@@ -57,34 +57,23 @@ class CornerInterface:
 
     @property
     def jump(self):
+        """Scalar corner jump (H_- - H_+) - |omega_- - omega_+|."""
         return (self.H_minus - self.H_plus) - self.omega_jump_norm
-
-    def swapped(self):
-        """Roles of the two sides exchanged (test helper for antisymmetry)."""
-        return CornerInterface(self.r_c, self.H_plus, self.H_minus,
-                               self.omega_plus, self.omega_minus)
-
-
-def jump_condition(interface: CornerInterface) -> float:
-    """Scalar corner jump (H_- - H_+) - |omega_- - omega_+|."""
-    return interface.jump
 
 
 @dataclass(frozen=True)
 class IsotropicChart:
-    """Conformally flat chart rho(s) of a vacuum time-symmetric data set.
+    """Isotropic chart of Schwarzschild of mass ``mass``, continued to the
+    coordinate ``s_min``.
 
     Carried by scenarios whose areal-chart patches cannot see the horizon
-    interior; ``r_of_s`` is the areal radius, its derivative root marks
-    the minimal sphere (searched on [s_min, s_max] only), and the chart
-    closures continue the data through the minimal sphere so the harmonic
-    solver can truncate at a weakly trapped sphere in the second sheet.
+    interior.  The metric is psi^4 (ds^2 + s^2 dOmega^2), psi = 1 + m/2s,
+    so the areal radius s psi^2 has its minimum, the minimal sphere, at
+    s = m/2; the harmonic solver runs on this chart through the minimal
+    sphere and truncates at a weakly trapped sphere in the second sheet.
     """
 
     s_min: float
-    s_max: float
-    r_of_s: Callable[[np.ndarray], np.ndarray]
-    dr_ds: Callable[[np.ndarray], np.ndarray]
     mass: float = 1.0
 
 
@@ -104,11 +93,14 @@ class GluedDataSet:
     topology_trivial: bool = True      # user-asserted H_2(M_ext, S) = 0 stand-in
     name: str = "custom"
     expectations: Dict[str, float] = field(default_factory=dict)
-    chart: Optional[IsotropicChart] = None
+    chart: Optional[IsotropicChart] = None   # no corners, no centre
     has_center: bool = False           # innermost patch reaches r = 0 smoothly
     grading_anchor: Optional[float] = None  # sqrt-grading radius for solver grids
 
     def __post_init__(self):
+        if self.chart is not None and (self.interfaces or self.has_center):
+            raise ValueError("an isotropic chart has no corner and no "
+                             "smooth centre")
         for p, q in zip(self.patches[:-1], self.patches[1:]):
             if abs(p.r_out - q.r_in) > _TILE_TOL * max(1.0, p.r_out):
                 raise ValueError("patch domains must tile without gaps")
@@ -182,7 +174,7 @@ def interface_from_patches(inner: RadialPatch, outer: RadialPatch, r_c,
 def glue(inner: RadialPatch, outer: RadialPatch, r_c, *,
          allow_discontinuous_f=False, decay_order=1.0, name="glued",
          expectations=None, has_center=None, grading_anchor=None,
-         chart=None, asymptotically_flat=True) -> GluedDataSet:
+         asymptotically_flat=True) -> GluedDataSet:
     """Join two patches at the corner sphere r = r_c.
 
     The shared areal chart guarantees the induced boundary metrics match;
@@ -206,7 +198,7 @@ def glue(inner: RadialPatch, outer: RadialPatch, r_c, *,
         decay_order=decay_order, name=name,
         expectations=dict(expectations or {}),
         has_center=(inner.r_in == 0.0 if has_center is None else has_center),
-        grading_anchor=grading_anchor, chart=chart,
+        grading_anchor=grading_anchor,
         asymptotically_flat=asymptotically_flat)
 
 
@@ -254,18 +246,6 @@ def _flat(r_out=260.0):
                         expectations={"E": 0.0, "P": 0.0, "jump": 0.0})
 
 
-def _schwarzschild_chart_fns(m):
-    def r_of_s(s):
-        s = np.asarray(s, dtype=float)
-        return s * (1.0 + m / (2.0 * s)) ** 2
-
-    def dr_ds(s):
-        s = np.asarray(s, dtype=float)
-        return 1.0 - (m * m) / (4.0 * s * s)
-
-    return r_of_s, dr_ds
-
-
 @register_scenario("schwarzschild")
 def _schwarzschild(m=1.0, r_in=None, r_out=260.0):
     if r_in is None:
@@ -274,9 +254,7 @@ def _schwarzschild(m=1.0, r_in=None, r_out=260.0):
     patch = RadialPatch(schwarzschild_metric_profile(m, r_in, r_out),
                         _zero_profile(dom), _zero_profile(dom),
                         r_in, r_out, label=f"schwarzschild m={m}")
-    r_of_s, dr_ds = _schwarzschild_chart_fns(m)
-    chart = IsotropicChart(s_min=float(areal_sigma(m, r_in)), s_max=r_out,
-                           r_of_s=r_of_s, dr_ds=dr_ds, mass=m)
+    chart = IsotropicChart(s_min=float(areal_sigma(m, r_in)), mass=m)
     return GluedDataSet(patches=(patch,), interfaces=(), decay_order=1.0,
                         name="schwarzschild", grading_anchor=2.0 * m,
                         chart=chart, expectations={"E": m, "P": 0.0})
@@ -286,18 +264,16 @@ def _schwarzschild(m=1.0, r_in=None, r_out=260.0):
 def _isotropic_schwarzschild(m=1.0, r_out=260.0):
     """Exterior sheet in the areal chart plus the isotropic chart record.
 
-    The areal patch covers r in (2m, r_out]; the attached chart crosses the
-    minimal sphere at s = m/2 where the areal radius r(s) = s (1 + m/2s)^2
-    has its root of dr/ds.
+    The areal patch covers r in (2m, r_out]; the attached chart reaches
+    s_min = m/20, across the minimal sphere s = m/2 where the areal radius
+    r(s) = s (1 + m/2s)^2 is smallest.
     """
     r_in = 2.0 * m + 1e-6 * max(m, 1.0)
     dom = (r_in, r_out)
     patch = RadialPatch(schwarzschild_metric_profile(m, r_in, r_out),
                         _zero_profile(dom), _zero_profile(dom),
                         r_in, r_out, label=f"isotropic schwarzschild m={m}")
-    r_of_s, dr_ds = _schwarzschild_chart_fns(m)
-    chart = IsotropicChart(s_min=0.05 * m, s_max=r_out, r_of_s=r_of_s,
-                           dr_ds=dr_ds, mass=m)
+    chart = IsotropicChart(s_min=0.05 * m, mass=m)
     return GluedDataSet(patches=(patch,), interfaces=(), decay_order=1.0,
                         name="isotropic_schwarzschild", grading_anchor=2.0 * m,
                         chart=chart,
@@ -355,16 +331,11 @@ def _shi_tam_glue(r0=1.0, H=2.0, omega_nn=0.0, omega_tan=0.0, r_out=None):
     # smooth interior profile hitting f(r0) = f0_in with a regular centre
     f_in = ScalarProfile.from_callables(
         lambda r: 1.0 + (f0_in - 1.0) * (np.asarray(r) / r0) ** 2,
-        lambda r: 2.0 * (f0_in - 1.0) * np.asarray(r) / r0**2,
-        lambda r: np.full_like(np.asarray(r, dtype=float),
-                               2.0 * (f0_in - 1.0) / r0**2),
-        dom_in)
+        lambda r: 2.0 * (f0_in - 1.0) * np.asarray(r) / r0**2, dom_in)
     b0 = -0.5 * omega_nn  # pi(nu,nu) = -2b on the inner side
     b_in = ScalarProfile.from_callables(
         lambda r: b0 * (np.asarray(r) / r0) ** 2,
-        lambda r: 2.0 * b0 * np.asarray(r) / r0**2,
-        lambda r: np.full_like(np.asarray(r, dtype=float), 2.0 * b0 / r0**2),
-        dom_in)
+        lambda r: 2.0 * b0 * np.asarray(r) / r0**2, dom_in)
     inner = RadialPatch(f_in, _zero_profile(dom_in), b_in, 0.0, r0,
                         label="shi-tam inner")
     outer = RadialPatch(schwarzschild_metric_profile(m_ext, r0, r_out),
@@ -405,14 +376,7 @@ def _polynomial(f_inv_coeffs=(), a_inv_coeffs=(), b_inv_coeffs=(),
                 out = out - k * c * r ** (-k - 1)
             return out
 
-        def d2(r):
-            r = np.asarray(r, dtype=float)
-            out = np.zeros_like(r)
-            for k, c in enumerate(coeffs, start=1):
-                out = out + k * (k + 1) * c * r ** (-k - 2)
-            return out
-
-        return ScalarProfile(val, d1, d2, (r_in, r_out))
+        return ScalarProfile(val, d1, (r_in, r_out))
 
     patch = RadialPatch(prof(f_inv_coeffs, 1.0), prof(a_inv_coeffs, 0.0),
                         prof(b_inv_coeffs, 0.0), float(r_in), float(r_out),
@@ -439,16 +403,3 @@ def _custom(patches, interfaces=None, decay_order=1.0, label="custom",
         grading_anchor=grading_anchor,
         asymptotically_flat=asymptotically_flat)
 
-
-def minimal_sphere_bracket(data: GluedDataSet):
-    """Outermost bracket where the chart's areal-radius derivative changes sign."""
-    chart = data.chart
-    if chart is None:
-        return None
-    ss = np.linspace(chart.s_min, chart.s_max, 4096)
-    d = chart.dr_ds(ss)
-    sign_flips = np.nonzero(d[:-1] * d[1:] < 0)[0]
-    if sign_flips.size == 0:
-        return None
-    i = int(sign_flips[-1])
-    return (float(ss[i]), float(ss[i + 1]))

@@ -9,10 +9,6 @@ class DomainError(CornerMassError):
     """A radius (or coordinate) fell outside the domain of a profile or patch."""
 
 
-class BracketError(CornerMassError):
-    """Root bracketing failed: no sign change across the given interval."""
-
-
 class IntegrationDivergedError(CornerMassError):
     """ODE state became non-finite; carries the last radius with a finite state."""
 

@@ -61,7 +61,7 @@ def shi_tam_extend(r0, H_eff, *, span=1000.0, n_steps=4000) -> ExtensionResult:
     """Scalar-flat extension of a round sphere with effective curvature H_eff.
 
     The profile is the closed form f = 1 - c/r, c = (1 - f0) r0, with its
-    analytic derivatives; f and Q are sampled at n_steps + 1 radii uniform
+    analytic derivative; f and Q are sampled at n_steps + 1 radii uniform
     in s = log(r/r0) out to span * r0.  H_eff is H - |omega| for the
     quasilocal pipeline and H - f for certificates.
     """
@@ -74,8 +74,7 @@ def shi_tam_extend(r0, H_eff, *, span=1000.0, n_steps=4000) -> ExtensionResult:
     radii = r0 * np.exp(np.arange(n_steps + 1) * (np.log(span) / n_steps))
     dom = (float(radii[0]), float(radii[-1]))
     profile = ScalarProfile.from_callables(
-        lambda r: 1.0 - c / r, lambda r: c / r**2, lambda r: -2.0 * c / r**3,
-        dom, label="extension f")
+        lambda r: 1.0 - c / r, lambda r: c / r**2, dom, label="extension f")
     f = profile.value(radii)
     q = radii * (1.0 - np.sqrt(np.maximum(f, 0.0)))
     # limits from samples at radius ratio 2 so the 1/r tails extrapolate
@@ -200,13 +199,6 @@ def _smooth_step_d1(t):
     return np.where(inside, (35.0 / 32.0) * (1.0 - t * t) ** 3, 0.0)
 
 
-def _smooth_step_d2(t):
-    t = np.asarray(t, dtype=float)
-    inside = np.abs(t) < 1.0
-    return np.where(inside, (35.0 / 32.0) * 3.0 * (1.0 - t * t) ** 2 * (-2.0 * t),
-                    0.0)
-
-
 def _blend_profiles(p_minus: ScalarProfile, p_plus: ScalarProfile, r_c, delta,
                     domain):
     """One-sided extensions blended across the collar by the smooth step."""
@@ -222,25 +214,12 @@ def _blend_profiles(p_minus: ScalarProfile, p_plus: ScalarProfile, r_c, delta,
         t = (r - r_c) / delta
         fm, fp = (p_minus.value(r, extrapolate=True),
                   p_plus.value(r, extrapolate=True))
-        dm, dp = (p_minus.derivative(r, 1, extrapolate=True),
-                  p_plus.derivative(r, 1, extrapolate=True))
+        dm, dp = (p_minus.derivative(r, extrapolate=True),
+                  p_plus.derivative(r, extrapolate=True))
         return dm + _smooth_step(t) * (dp - dm) \
             + _smooth_step_d1(t) / delta * (fp - fm)
 
-    def d2(r):
-        r = np.asarray(r, dtype=float)
-        t = (r - r_c) / delta
-        fm, fp = (p_minus.value(r, extrapolate=True),
-                  p_plus.value(r, extrapolate=True))
-        dm, dp = (p_minus.derivative(r, 1, extrapolate=True),
-                  p_plus.derivative(r, 1, extrapolate=True))
-        sm, sp = (p_minus.derivative(r, 2, extrapolate=True),
-                  p_plus.derivative(r, 2, extrapolate=True))
-        return (sm + _smooth_step(t) * (sp - sm)
-                + 2.0 * _smooth_step_d1(t) / delta * (dp - dm)
-                + _smooth_step_d2(t) / delta**2 * (fp - fm))
-
-    return ScalarProfile(val, d1, d2, domain, label="mollified")
+    return ScalarProfile(val, d1, domain, label="mollified")
 
 
 @dataclass(frozen=True)
@@ -290,7 +269,7 @@ def mollify_corner(data: GluedDataSet, interface_index: int, delta: float,
         patch = RadialPatch(fb, ab, bb, dom[0], dom[1],
                             label=f"collar d={d:g}")
         rs = np.linspace(dom[0], dom[1], n_samples)
-        lip = float(np.max(np.abs(fb.derivative(rs, 1))))
+        lip = float(np.max(np.abs(fb.derivative(rs))))
         supk = float(max(np.max(np.abs(ab.value(rs))),
                          np.max(np.abs(bb.value(rs)))))
         inf_r = float(np.min(scalar_curvature(patch, rs)))
@@ -333,7 +312,7 @@ def mollified_data(data: GluedDataSet, interface_index: int,
     return GluedDataSet(
         patches=tuple(new_patches), interfaces=interfaces,
         decay_order=data.decay_order, name=data.name + "+mollified",
-        expectations=dict(data.expectations), chart=data.chart,
+        expectations=dict(data.expectations),
         has_center=data.has_center, grading_anchor=data.grading_anchor,
         topology_trivial=data.topology_trivial)
 

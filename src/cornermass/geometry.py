@@ -79,7 +79,7 @@ class RadialPatch:
         return self.f.value(r, extrapolate=True)
 
     def fp(self, r):
-        return self.f.derivative(r, 1, extrapolate=True)
+        return self.f.derivative(r, extrapolate=True)
 
     def av(self, r):
         return self.a.value(r, extrapolate=True)
@@ -88,7 +88,7 @@ class RadialPatch:
         return self.b.value(r, extrapolate=True)
 
     def bp(self, r):
-        return self.b.derivative(r, 1, extrapolate=True)
+        return self.b.derivative(r, extrapolate=True)
 
     def tr_k(self, r):
         return self.av(r) + 2.0 * self.bv(r)
@@ -272,7 +272,6 @@ def schwarzschild_metric_profile(m, r_min, r_max=np.inf):
     return ScalarProfile.from_callables(
         lambda r: 1.0 - 2.0 * m / np.asarray(r, dtype=float),
         lambda r: 2.0 * m / np.asarray(r, dtype=float) ** 2,
-        lambda r: -4.0 * m / np.asarray(r, dtype=float) ** 3,
         (r_min, r_max), label=f"schwarzschild f (m={m})")
 
 
@@ -280,5 +279,4 @@ def hyperbolic_metric_profile(r_max):
     return ScalarProfile.from_callables(
         lambda r: 1.0 + np.asarray(r, dtype=float) ** 2,
         lambda r: 2.0 * np.asarray(r, dtype=float),
-        lambda r: 2.0 * np.ones_like(np.asarray(r, dtype=float)),
         (0.0, r_max), label="hyperbolic f")

@@ -5,9 +5,10 @@ The solver works in a general radial chart: the metric on the grid is
     g = lam(s) ds^2 + rho(s)^2 dOmega^2,
 
 with the areal chart (lam = 1/f, rho = s) used for glued patch data and
-an isotropic chart (lam = psi^4, rho = s psi^2) used when the data set
-carries one; the latter continues through a minimal sphere into the
-second asymptotic sheet, where large coordinate spheres are weakly
+the isotropic chart of Schwarzschild (lam = psi^4, rho = s psi^2,
+psi = 1 + m/2s) used exactly when the data set carries one
+(``data.chart``); the latter continues through the minimal sphere into
+the second asymptotic sheet, where large coordinate spheres are weakly
 trapped and can serve as the inner boundary of the solve.
 
 Angular finite differences act on x = cos(theta), where 3-point stencils
@@ -260,24 +261,19 @@ def _areal_vals(data, rr, patch):
                 a=a, b=b, K=trk, mu=mu, Jn=Jn)
 
 
-def build_coefficients(data: GluedDataSet, grid: AxisymGrid,
-                       chart=None) -> GridCoefficients:
+def build_coefficients(data: GluedDataSet,
+                       grid: AxisymGrid) -> GridCoefficients:
     """Sample chart and matter profiles on the grid.
 
-    chart='areal' reads the glued patches, each smooth segment from the
-    patch it lies in: a corner ring's minus side ends the segment inside
-    it, its plus side starts the one outside.  chart='isotropic' uses the
-    attached conformally flat chart (vacuum time-symmetric data, no
-    corners).  The default follows the grid: isotropic when the data has
-    a chart and the grid extends inside its minimal sphere.
+    Data carrying an isotropic chart (vacuum time-symmetric data, no
+    corners) is sampled on that chart, the grid's nodes read as its
+    coordinate s.  Other data is sampled in the areal chart from the glued
+    patches, each smooth segment from the patch it lies in: a corner
+    ring's minus side ends the segment inside it, its plus side starts the
+    one outside.
     """
     s = grid.r
-    if chart is None:
-        chart = "areal"
-        if data.chart is not None and s[0] < data.r_min:
-            chart = "isotropic"
-
-    if chart == "isotropic":
+    if data.chart is not None:
         m = float(data.chart.mass)
         psi = 1.0 + m / (2.0 * s)
         psip = -m / (2.0 * s * s)
@@ -290,7 +286,7 @@ def build_coefficients(data: GluedDataSet, grid: AxisymGrid,
                       rhop=rhop, a=zeros, b=zeros, K=zeros, mu=zeros,
                       Jn=zeros)
         return GridCoefficients(
-            data=data, grid=grid, chart=chart,
+            data=data, grid=grid, chart="isotropic",
             segments=[(0, s.size - 1)], corner_indices=[],
             plus=SideCoefficients(**arrays), **arrays)
 
@@ -316,7 +312,7 @@ def build_coefficients(data: GluedDataSet, grid: AxisymGrid,
             for name, last in pieces[-1].items()}
 
     return GridCoefficients(
-        data=data, grid=grid, chart=chart, segments=segments,
+        data=data, grid=grid, chart="areal", segments=segments,
         corner_indices=corner_idx, plus=SideCoefficients(**plus), **minus)
 
 

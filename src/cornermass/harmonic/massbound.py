@@ -142,8 +142,6 @@ def _corner_integral(field: AxisymField):
     total = 0.0
     jumps = []
     violated = False
-    if data.interfaces and field.coeffs.chart != "areal":
-        raise ValueError("corner terms need an areal-chart solve")
     for iface in data.interfaces:
         if not (grid.r[0] - 1e-9 < iface.r_c < grid.r[-1] + 1e-9):
             continue

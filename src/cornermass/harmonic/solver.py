@@ -28,14 +28,15 @@ G(u_k) - u_k = A~^-1 (b(u_k) - A u_k) from the current u_k (A~^-1 the
 factor's solve), the first from u_0 = the Dirichlet data, so its
 rounding shrinks with the correction and the fixed point is still
 exactly A u = b(u).
-Outer Dirichlet data is the truncated asymptote a * rho cos(theta); an
-inner sphere may carry the Dirichlet value 0 (the trapped-boundary
-option, with the sign of the normal derivative reported afterwards, never
-enforced); data with a smooth centre instead couples the innermost ring to
-an extra unknown, the virtual value at r = 0.
+Outer Dirichlet data is the truncated asymptote a * rho cos(theta).  The
+data decides the inner boundary: data with a smooth centre
+(``data.has_center``) couples the innermost ring to an extra unknown, the
+virtual value at r = 0; any other inner sphere carries the Dirichlet
+value 0 (the trapped-boundary mode, with the sign of the normal
+derivative reported afterwards, never enforced).
 
-Data sets carrying an isotropic chart are solved on that chart: the grid
-runs through the minimal sphere into the second asymptotic sheet, whose
+Data carrying an isotropic chart is solved on that chart: the grid runs
+through the minimal sphere into the second asymptotic sheet, whose
 coordinate spheres are weakly trapped and provide a legitimate inner
 boundary for the mass inequality.
 """
@@ -63,7 +64,6 @@ ANDERSON_DEPTH = 3
 class SolveOptions:
     delta: float = 1e-2
     direction: int = +1              # asymptote +- rho cos(theta)
-    inner: str = "auto"              # 'auto' | 'center' | 'trapped_const'
     picard_tol: float = 1e-9
     max_picard: int = 60
 
@@ -187,22 +187,10 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
         raise ValueError(
             "only the axisymmetric directions +z and -z are supported; a "
             "general asymptote direction needs a full 3-D grid")
-    chart = None
     if grid is None:
         grid = build_solver_grid(data, n_r, n_theta, L, r_inner)
-        chart = "isotropic" if data.chart is not None else "areal"
-    coeffs = build_coefficients(data, grid, chart)
-
-    inner_mode = opts.inner
-    if inner_mode == "auto":
-        inner_mode = "center" if (data.has_center
-                                  and coeffs.chart == "areal") \
-            else "trapped_const"
-    if inner_mode == "center" and (coeffs.chart != "areal"
-                                   or not data.has_center):
-        raise ValueError("inner boundary mode 'center' is incompatible "
-                         "with this grid: the data has no smooth centre "
-                         "in the solve chart")
+    coeffs = build_coefficients(data, grid)
+    inner_mode = "center" if data.has_center else "trapped_const"
     operator = _assemble_operator(coeffs, inner_mode)
 
     sign = float(opts.direction)

@@ -1,6 +1,6 @@
 """Mass functionals: ADM energy-momentum, Hawking, Brown-York, Liu-Yau,
-the corner quasilocal energy W, minimal-sphere detection and the
-comparison / localized-Penrose checks.
+the corner quasilocal energy W, the minimal sphere of an isotropic chart
+(in closed form) and the comparison / localized-Penrose checks.
 
 Two independent ADM routes are always computed: the Cartesian flux
 integrals (the definition) evaluated by spherical quadrature at a list of
@@ -23,11 +23,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .corner import GluedDataSet, minimal_sphere_bracket
+from .corner import GluedDataSet
 from .errors import DomainError
 from .geometry import dec_check, mean_curvature_sphere, momentum_tensor
-from .numgrid import ConvergenceReport, find_root, gauss_x_nodes, \
-    limit_from_sequence
+from .numgrid import ConvergenceReport, gauss_x_nodes, limit_from_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +211,17 @@ def minimal_sphere(data: GluedDataSet) -> Optional[MinimalSphere]:
     """Outermost sphere with H = 0, or None when H > 0 throughout.
 
     Areal-chart patches have H = 2 sqrt(f)/r > 0 wherever the chart is
-    defined, so horizon crossings are only visible through an attached
-    chart (e.g. isotropic coordinates) whose areal radius r(s) turns
-    around; the root of dr/ds is the minimal sphere.
+    defined, so a minimal sphere belongs to the data only through its
+    isotropic chart: the areal radius s (1 + m/2s)^2 is smallest at
+    s = m/2, r = 2m, which the data holds when the chart reaches inside
+    it (s_min < m/2).
     """
-    br = minimal_sphere_bracket(data)
-    if br is None:
+    chart = data.chart
+    if chart is None or not chart.s_min < 0.5 * chart.mass:
         return None
-    s = find_root(data.chart.dr_ds, br)
-    r_areal = float(data.chart.r_of_s(s))
-    return MinimalSphere(coordinate=float(s), areal_radius=r_areal,
-                         area=float(4.0 * np.pi * r_areal ** 2))
+    r = 2.0 * chart.mass
+    return MinimalSphere(coordinate=0.5 * chart.mass, areal_radius=r,
+                         area=4.0 * np.pi * r**2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Deterministic numerical kernel: radial profiles, axisymmetric grids,
 quadrature, an explicit ODE integrator, a direct elliptic solve by
-separation of variables, a bracketed root finder and Richardson
-extrapolation.
+separation of variables and Richardson extrapolation.
 
 Everything in this module is a pure function of its inputs; no randomness.
 Identical inputs produce identical outputs across runs.  Two caches hold
@@ -31,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BracketError,
     DomainError,
     IntegrationDivergedError,
     SingularFactorError,
@@ -45,35 +43,30 @@ _DOMAIN_SLACK = 1e-12
 # ---------------------------------------------------------------------------
 
 class ScalarProfile:
-    """A scalar function of radius with first and second derivatives,
-    backed by analytic closures: a value callable plus optional derivative
-    callables, missing derivatives falling back to central finite
-    differences of the closure.
+    """A scalar function of radius with its first derivative, backed by
+    analytic closures: a value callable plus an optional derivative
+    callable, a missing derivative falling back to a central finite
+    difference of the closure.
     """
 
-    def __init__(self, value, d1, d2, domain, label=""):
+    def __init__(self, value, d1, domain, label=""):
         self._value = value
         self._d1 = d1
-        self._d2 = d2
         self.domain = (float(domain[0]), float(domain[1]))
         self.label = label
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_callables(cls, value, d1=None, d2=None, domain=(0.0, np.inf),
-                       label=""):
+    def from_callables(cls, value, d1=None, domain=(0.0, np.inf), label=""):
         if d1 is None:
-            d1 = _fd_derivative(value, 1)
-        if d2 is None:
-            d2 = _fd_derivative(value, 2)
-        return cls(value, d1, d2, domain, label)
+            d1 = _fd_derivative(value)
+        return cls(value, d1, domain, label)
 
     @classmethod
     def constant(cls, c, domain=(0.0, np.inf), label=""):
         c = float(c)
         return cls(lambda r: np.full_like(np.asarray(r, dtype=float), c),
-                   lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                    lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                    domain, label)
 
@@ -94,31 +87,21 @@ class ScalarProfile:
         r = self._check(r, extrapolate)
         return np.asarray(self._value(r), dtype=float)
 
-    def derivative(self, r, order=1, extrapolate=False):
+    def derivative(self, r, *, extrapolate=False):
         r = self._check(r, extrapolate)
-        if order == 1:
-            return np.asarray(self._d1(r), dtype=float)
-        if order == 2:
-            return np.asarray(self._d2(r), dtype=float)
-        raise ValueError("derivative order must be 1 or 2")
+        return np.asarray(self._d1(r), dtype=float)
 
     def __call__(self, r, extrapolate=False):
         return self.value(r, extrapolate)
 
 
-def _fd_derivative(fn, order):
+def _fd_derivative(fn):
     def d1(r):
         r = np.asarray(r, dtype=float)
         h = 1e-5 * np.maximum(1.0, np.abs(r))
         return (np.asarray(fn(r + h)) - np.asarray(fn(r - h))) / (2 * h)
 
-    def d2(r):
-        r = np.asarray(r, dtype=float)
-        h = 3e-4 * np.maximum(1.0, np.abs(r))
-        return (np.asarray(fn(r + h)) - 2 * np.asarray(fn(r))
-                + np.asarray(fn(r - h))) / (h * h)
-
-    return d1 if order == 1 else d2
+    return d1
 
 
 # ---------------------------------------------------------------------------
@@ -393,59 +376,6 @@ def integrate_ode(rhs, y0, interval, step, max_retries=1):
     raise IntegrationDivergedError(
         f"state became non-finite near t = {last_good:.6g}",
         last_good_radius=last_good)
-
-
-# ---------------------------------------------------------------------------
-# Root bracketing
-# ---------------------------------------------------------------------------
-
-def find_root(f, bracket, tol=1e-12):
-    """Root of f in a bracket whose end values differ in sign.
-
-    Illinois steps (regula falsi with the value at an end that is kept
-    twice in a row halved) shrink the bracket superlinearly on smooth f;
-    a step that fails to halve the bracket is followed by a bisection, so
-    the bracket at least halves every two evaluations even on a flat or
-    discontinuous f.  Stops when the bracket is no wider than ``tol`` (or
-    has no float strictly inside) and returns the end with the smaller
-    |f|, which lies within ``tol`` of a sign change of f.  Raises
-    BracketError when the end values have the same sign.
-    """
-    a, b = float(bracket[0]), float(bracket[1])
-    fa, fb = float(f(a)), float(f(b))
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise BracketError(f"no sign change on [{a}, {b}]: f={fa:.3g},{fb:.3g}")
-    ga, gb = fa, fb                 # end values as weighted by Illinois
-    kept = None                     # the end kept by the last step
-    bisect = False
-    while True:
-        width, mid = abs(b - a), 0.5 * (a + b)
-        if width <= tol or not min(a, b) < mid < max(a, b):
-            break
-        x = mid
-        if not bisect:
-            x = b - gb * (b - a) / (gb - ga)
-            if not min(a, b) < x < max(a, b):
-                x = mid
-        fx = float(f(x))
-        if fx == 0.0:
-            return x
-        if (fx < 0.0) == (fa < 0.0):
-            a, fa, ga = x, fx, fx
-            if kept == "b":
-                gb *= 0.5
-            kept = "b"
-        else:
-            b, fb, gb = x, fx, fx
-            if kept == "a":
-                ga *= 0.5
-            kept = "a"
-        bisect = abs(b - a) > 0.5 * width
-    return a if abs(fa) < abs(fb) else b
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -520,6 +521,54 @@ class TestExitCodes:
         assert cli.main(["massbound", "--config", path]) == 3
         assert capsys.readouterr().err.startswith("numerical failure")
 
+    def test_failed_run_writes_one_stderr_line(self, tmp_path):
+        # numpy's overflow and invalid-value warnings used to reach stderr
+        # ahead of the error line
+        path = write(tmp_path, "x.cfg", "[run]\nscenario = hyperbolic_negschw"
+                     "\nresolutions = 16 24\ndelta = 1e300\n")
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cornermass.cli", "massbound", "--config",
+             path], env=env, capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numerical failure: ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+    # a count above its bound is refused before the work it sizes starts,
+    # and a count at its bound reaches that work (the patched call)
+    @pytest.mark.parametrize("command, text, field, bound, work", [
+        ("constraints", "[run]\nscenario = flat\nsamples = {}\n",
+         "run.samples", cli.MAX_ROWS, ("geometry", "dec_check")),
+        ("massbound", "[run]\nscenario = flat\nresolutions = 16 {}\n",
+         "run.resolutions", cli.MAX_GRID, ("", "mass_bound_sweep")),
+        ("massbound", "[run]\nscenario = flat\nresolutions = 16\n"
+         "n_theta = {}\n", "run.n_theta", cli.MAX_GRID,
+         ("", "mass_bound_sweep")),
+        ("certificate", "[certificate]\nh_eff_sweep = 0.5 1.5 {}\n",
+         "certificate.h_eff_sweep", cli.MAX_ROWS,
+         ("extension", "fillin_certificate")),
+    ], ids=["samples", "resolutions", "n_theta", "h_eff_sweep"])
+    def test_count_above_its_bound_exits_2(self, tmp_path, capsys,
+                                           monkeypatch, command, text, field,
+                                           bound, work):
+        class Started(Exception):
+            pass
+
+        def started(*args, **kwargs):
+            raise Started
+        monkeypatch.setattr(getattr(cli, work[0]) if work[0] else cli,
+                            work[1], started)
+        for count in (bound + 1, 10**12):
+            path = write(tmp_path, "x.cfg", text.format(count))
+            assert cli.main([command, "--config", path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {field} must be ")
+            assert f"{bound}]" in err
+        path = write(tmp_path, "x.cfg", text.format(bound))
+        with pytest.raises(Started):
+            cli.main([command, "--config", path])
+
     def test_extension_overflow_exits_3(self, tmp_path, capsys):
         # finite data whose mean curvature at r0 (4.8e148) overflows
         # the matched extension's (H r0/2)^2
@@ -541,14 +590,17 @@ class TestExitCodes:
 
 class TestConfigFuzz:
     """Seeded random configs through ``main``: the exit code is 0, 1, 2 or
-    3 and no exception escapes; exit 2 names a key or the scenario on
-    stderr, and exit 1 comes with a false verdict.  Values are mostly
-    valid, one in seven from ``BAD``; counts and grid sizes stay small,
-    so every draw is cheap.  A failing draw becomes a test of
-    ``TestExitCodes`` and stays among the draws."""
+    3 and no exception or warning escapes; exit 2 names a key or the
+    scenario on stderr, exits 2 and 3 write that one line only, and exit
+    1 comes with a false verdict.  Values are mostly valid, one in seven
+    from ``BAD``; counts and grid sizes stay small, or 10^12 (``HUGE``),
+    which must be refused before any work, so every draw is cheap.  A
+    failing draw becomes a test of ``TestExitCodes`` and stays among the
+    draws."""
 
     BAD = ["0", "-1", "1e-300", "1e300", "-1e300", "1e200", "inf", "nan",
            "x", "1 2", "true"]
+    HUGE = "1000000000000"
     SCENARIOS = {
         "flat": {"r_out": ["100", "260"]},
         "schwarzschild": {"m": ["0.5", "1", "2"], "r_out": ["100", "260"]},
@@ -562,13 +614,14 @@ class TestConfigFuzz:
     }
     KEYS = {
         "constraints": {
-            "run.samples": ["2", "3", "4", "8", "33", "96"],
+            "run.samples": ["2", "3", "4", "8", "33", "96", HUGE],
             "run.dec_tolerance": ["0", "1e-8", "1e-3"],
             "run.direction": ["1", "-1"],
         },
         "massbound": {
-            "run.resolutions": ["8", "8 12", "12 16", "8 12 16"],
-            "run.n_theta": ["8", "12"],
+            "run.resolutions": ["8", "8 12", "12 16", "8 12 16",
+                                f"8 {HUGE}"],
+            "run.n_theta": ["8", "12", HUGE],
             "run.truncation": ["10", "15", "30"],
             "run.r_inner": ["0.5", "1", "2.5", "5"],
             "run.direction": ["1", "-1"],
@@ -587,7 +640,8 @@ class TestConfigFuzz:
             "certificate.H": ["0.5", "1", "2", "3", "5"],
             "certificate.tr_alpha": ["0", "0.5", "-2"],
             "certificate.beta": ["0", "0.5", "3"],
-            "certificate.h_eff_sweep": ["0.5 1.5 5", "1 3 7", "0.1 4 2"],
+            "certificate.h_eff_sweep": ["0.5 1.5 5", "1 3 7", "0.1 4 2",
+                                        f"0.5 1.5 {HUGE}"],
         },
     }
 
@@ -615,7 +669,6 @@ class TestConfigFuzz:
                                        keys.items())
             for section, keys in cfg.items())
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("seed", range(1, 7))
     def test_draws_keep_the_exit_code_contract(self, tmp_path, capsys, seed):
         rng = random.Random(seed)
@@ -626,12 +679,17 @@ class TestConfigFuzz:
             out.unlink(missing_ok=True)
             where = f"seed {seed}, draw {draw}: {command}\n{text}"
             try:
-                rc = cli.main([command, "--config", str(path), "--out",
-                               str(out)])
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    rc = cli.main([command, "--config", str(path), "--out",
+                                   str(out)])
             except Exception as exc:
                 pytest.fail(f"{type(exc).__name__}: {exc} at {where}")
             err = capsys.readouterr().err
             assert rc in (0, 1, 2, 3), where
+            assert not caught, f"{caught[0].message} at {where}"
+            if rc in (2, 3):
+                assert err.count("\n") == 1 and err.endswith("\n"), where
             if rc == 2:
                 assert re.search(r"^config error.*\b(run|scenario|"
                                  r"quasilocal|certificate)\b", err), where

@@ -3,8 +3,7 @@ import pytest
 
 from cornermass import corner
 from cornermass.corner import (CornerInterface, GluedDataSet, glue,
-                               jump_condition, scenario_build,
-                               scenario_names)
+                               scenario_build, scenario_names)
 from cornermass.errors import DomainError
 from cornermass.geometry import (RadialPatch, flat_metric_profile,
                                  mean_curvature_sphere,
@@ -52,6 +51,17 @@ class TestGlue:
         with pytest.raises(ValueError):
             glue(inner, outer, 1.0)
 
+    def test_chart_refuses_corners_and_centre(self):
+        chart = scenario_build("schwarzschild", m=1.0).chart
+        ng = scenario_build("hyperbolic_negschw")
+        with pytest.raises(ValueError, match="corner"):
+            GluedDataSet(patches=ng.patches, interfaces=ng.interfaces,
+                         decay_order=1.0, chart=chart)
+        flat = scenario_build("flat")
+        with pytest.raises(ValueError, match="centre"):
+            GluedDataSet(patches=flat.patches, interfaces=(),
+                         decay_order=1.0, chart=chart, has_center=True)
+
     def test_f_jump_needs_flag(self):
         inner = RadialPatch(flat_metric_profile(1.0), zero((0, 1)),
                             zero((0, 1)), 0.0, 1.0)
@@ -66,17 +76,15 @@ class TestGlue:
 class TestJumpCondition:
     def test_counterexample_value(self):
         ds = scenario_build("hyperbolic_negschw")
-        assert jump_condition(ds.interfaces[0]) == \
-            pytest.approx(-2.0, abs=1e-14)
+        assert ds.interfaces[0].jump == pytest.approx(-2.0, abs=1e-14)
 
     def test_shi_tam_matched_zero(self):
         ds = scenario_build("shi_tam_glue", r0=1.0, H=2.0, omega_tan=1.0)
-        assert jump_condition(ds.interfaces[0]) == \
-            pytest.approx(0.0, abs=1e-12)
+        assert ds.interfaces[0].jump == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_patches_zero(self):
         iface = CornerInterface(2.0, 1.3, 1.3, (0.5, 0.1), (0.5, 0.1))
-        assert jump_condition(iface) == 0.0
+        assert iface.jump == 0.0
 
     def test_swap_antisymmetry(self):
         rng = np.random.RandomState(5)
@@ -85,7 +93,7 @@ class TestJumpCondition:
             om = tuple(rng.uniform(-1, 1, 2))
             op = tuple(rng.uniform(-1, 1, 2))
             iface = CornerInterface(1.0, hm, hp, om, op)
-            swapped = iface.swapped()
+            swapped = CornerInterface(1.0, hp, hm, op, om)
             assert (iface.H_minus - iface.H_plus) == pytest.approx(
                 -(swapped.H_minus - swapped.H_plus))
             assert iface.omega_jump_norm == pytest.approx(

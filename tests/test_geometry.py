@@ -215,8 +215,6 @@ class TestDecCheck:
             ScalarProfile.from_callables(lambda r: np.asarray(r, float),
                                          lambda r: np.ones_like(
                                              np.asarray(r, float)),
-                                         lambda r: np.zeros_like(
-                                             np.asarray(r, float)),
                                          dom),
             0.5, 4.0)
         rep = dec_check(patch, samples=64)

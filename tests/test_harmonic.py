@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,16 @@ class TestSolver:
         assert fld.diagnostics["linear"]["solves"] == 1
         assert fld.diagnostics["linear"]["residual"] <= 5e-9 * 30.0
         assert fld.diagnostics["nonlinear_residual"] <= 5e-9 * 30.0
+
+    @pytest.mark.parametrize("name, mode, chart", [
+        ("flat", "center", "areal"),
+        ("schwarzschild", "trapped_const", "isotropic"),
+    ])
+    def test_data_decides_inner_mode_and_chart(self, name, mode, chart):
+        data = scenario_build(name)
+        fld = solve_spacetime_harmonic(data, n_r=16, n_theta=16, L=20.0)
+        assert fld.diagnostics["inner_mode"] == mode
+        assert fld.diagnostics["chart"] == chart == fld.coeffs.chart
 
     def test_k_zero_one_factor_solve(self, monkeypatch):
         # the one linear solve is one correction from the boundary data,
@@ -166,13 +178,6 @@ class TestSolver:
         # K = 0 and constant inner data 0: the problem is odd-symmetric
         assert np.max(np.abs(up.values + dn.values)) <= 1e-7
 
-    def test_incompatible_inner_mode(self):
-        data = scenario_build("schwarzschild", m=1.0)
-        with pytest.raises(ValueError):
-            solve_spacetime_harmonic(
-                data, n_r=24, n_theta=24, L=20.0,
-                options=SolveOptions(inner="center"))
-
     def test_picard_stagnation_reports_history(self):
         from cornermass.errors import PicardStagnationError
         data = scenario_build("hyperbolic_negschw")
@@ -220,7 +225,7 @@ class TestHessian:
                             ScalarProfile.constant(c_amp, dom), 0.0, 260.0)
         data = scenario_build("custom", patches=[patch], label="flat_kcg")
         grid = build_solver_grid(data, 24, 24, 10.0)
-        coeffs = build_coefficients(data, grid, "areal")
+        coeffs = build_coefficients(data, grid)
         fld = AxisymField.from_function(coeffs, lambda R, X: R * X)
         hes = spacetime_hessian(fld)
         # |grad u| = 1 so |sHu|^2 = c^2 |g|^2 = 3 c^2 everywhere
@@ -229,7 +234,7 @@ class TestHessian:
     def test_fd_quadratic_exact(self):
         data = scenario_build("flat")
         grid = build_solver_grid(data, 24, 24, 10.0)
-        coeffs = build_coefficients(data, grid, "areal")
+        coeffs = build_coefficients(data, grid)
         fld = AxisymField.from_function(coeffs, lambda R, X: R * R * X)
         d = fld._derivs()
         R, X = np.meshgrid(grid.r, grid.x, indexing="ij")
@@ -242,7 +247,7 @@ class TestHessian:
         errs = []
         for n in (32, 64, 128):
             grid = build_solver_grid(data, n, n, 10.0)
-            coeffs = build_coefficients(data, grid, "areal")
+            coeffs = build_coefficients(data, grid)
             fld = AxisymField.from_function(
                 coeffs, lambda R, X: R**4 * X**3 / 100.0)
             d = fld._derivs()
@@ -260,7 +265,7 @@ class TestHessian:
     def test_mixed_partials_commute(self):
         data = scenario_build("flat")
         grid = build_solver_grid(data, 16, 16, 10.0)
-        coeffs = build_coefficients(data, grid, "areal")
+        coeffs = build_coefficients(data, grid)
         rng = np.random.RandomState(0)
         vals = rng.standard_normal((grid.n_r, grid.n_theta))
         st = coeffs.stencils
@@ -566,8 +571,10 @@ class TestBoundaryFormula:
         # u = u(r): the tangential branch vanishes and the identity
         # reduces to the constant-trace form
         data = scenario_build("schwarzschild", m=1.0)
+        # the chart's grid, sampled in the areal chart
+        areal = dataclasses.replace(data, chart=None)
         grid = build_solver_grid(data, 32, 32, 30.0, r_inner=3.0)
-        coeffs = build_coefficients(data, grid, "areal")
+        coeffs = build_coefficients(areal, grid)
         zeros = lambda r, x: np.zeros_like(np.asarray(x, float))
         closures = {
             "u": lambda r, x: 1.0 / r + 0.0 * np.asarray(x, float),
@@ -603,8 +610,9 @@ class TestBoundaryFormula:
     def test_pole_exclusion_flag_on_coarse_grid(self):
         # at M = 8 the two excluded pole rows carry > 1% of the measure
         data = scenario_build("schwarzschild", m=1.0)
+        areal = dataclasses.replace(data, chart=None)
         grid = build_solver_grid(data, 16, 8, 30.0, r_inner=3.0)
-        coeffs = build_coefficients(data, grid, "areal")
+        coeffs = build_coefficients(areal, grid)
         fld = AxisymField.from_function(coeffs, lambda R, X: R * X)
         rc = grid.r[len(grid.r) // 2]
         rep = boundary_formula_check(data, fld, rc)
@@ -621,10 +629,11 @@ class TestBoundaryFormula:
                 c * X**k for k, c in enumerate(coef))
 
         data = scenario_build("schwarzschild", m=1.0)
+        areal = dataclasses.replace(data, chart=None)
         residuals = []
         for M in (32, 64, 128):
             grid = build_solver_grid(data, M, M, 40.0, r_inner=3.0)
-            coeffs = build_coefficients(data, grid, "areal")
+            coeffs = build_coefficients(areal, grid)
             fld = AxisymField.from_function(coeffs, u_fn)
             rc = grid.r[np.argmin(np.abs(grid.r - 5.0))]
             rep = boundary_formula_check(data, fld, rc)
@@ -645,11 +654,12 @@ class TestIntegralFormula:
 
     def test_schwarzschild_annulus_refinement(self):
         data = scenario_build("schwarzschild", m=1.0)
+        # the chart's grid, solved in the areal chart from r = 3
+        areal = dataclasses.replace(data, chart=None)
         residuals = []
         for n in (48, 96):
             grid = build_solver_grid(data, n, n, 40.0, r_inner=3.0)
-            fld = solve_spacetime_harmonic(
-                data, grid=grid, options=SolveOptions(inner="trapped_const"))
+            fld = solve_spacetime_harmonic(areal, grid=grid)
             ra = grid.r[np.argmin(np.abs(grid.r - 4.0))]
             rb = grid.r[np.argmin(np.abs(grid.r - 8.0))]
             rep = integral_formula_check(data, fld, (ra, rb))
@@ -666,7 +676,7 @@ class TestIntegralFormula:
                             ScalarProfile.constant(c_amp, dom), 0.0, 260.0)
         data = scenario_build("custom", patches=[patch], label="flat_kcg")
         grid = build_solver_grid(data, 48, 48, 20.0)
-        coeffs = build_coefficients(data, grid, "areal")
+        coeffs = build_coefficients(data, grid)
         fld = AxisymField.from_function(coeffs, lambda R, X: R * X)
         r_hi = grid.r[np.argmin(np.abs(grid.r - 6.0))]
         rep = integral_formula_check(data, fld, (None, r_hi))

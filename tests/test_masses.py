@@ -94,7 +94,7 @@ class TestTrappedChart:
         sig = np.concatenate([[0.2, 0.3, 0.4], [0.5],
                               np.linspace(0.6, 4.0, 8)])
         grid = AxisymGrid.build(sig, 8)
-        c = build_coefficients(ds, grid, "isotropic")
+        c = build_coefficients(ds, grid)
         H = 2.0 * c.rhop / (c.sqlam * c.rho)
         i_h = int(np.argmin(np.abs(grid.r - 0.5)))
         assert H[i_h] == pytest.approx(0.0, abs=1e-14)
@@ -183,6 +183,20 @@ class TestMinimalSphere:
         assert ms is not None
         assert ms.coordinate == pytest.approx(0.5, abs=1e-10)
         assert ms.area == pytest.approx(16.0 * np.pi, abs=1e-8)
+
+    @pytest.mark.parametrize("m", [0.7, 1.0, 2.0, 3.3])
+    def test_closed_form(self, m):
+        # s = m/2, r = 2m, area 4 pi r^2, to the bit (the bracketed
+        # root search it replaces gave the same bits)
+        ms = minimal_sphere(scenario_build("isotropic_schwarzschild", m=m))
+        assert (ms.coordinate, ms.areal_radius, ms.area) == (
+            0.5 * m, 2.0 * m, 4.0 * np.pi * (2.0 * m) ** 2)
+
+    def test_chart_outside_the_minimal_sphere_none(self):
+        # the schwarzschild chart starts at s_min = 0.5007 m, outside it
+        ds = scenario_build("schwarzschild", m=1.0)
+        assert 0.5 < ds.chart.s_min < 0.501
+        assert minimal_sphere(ds) is None
 
     def test_flat_none(self):
         assert minimal_sphere(scenario_build("flat")) is None

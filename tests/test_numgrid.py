@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from cornermass import numgrid
-from cornermass.errors import BracketError, IntegrationDivergedError, \
-    SingularFactorError
+from cornermass.errors import IntegrationDivergedError, SingularFactorError
 
 
 class TestScalarProfile:
     def test_analytic_derivatives(self):
         prof = numgrid.ScalarProfile.from_callables(
-            lambda r: r**3, lambda r: 3 * r**2, lambda r: 6 * r, (0, 10))
+            lambda r: r**3, lambda r: 3 * r**2, (0, 10))
         assert prof.derivative(2.0) == 12.0
-        assert prof.derivative(2.0, order=2) == 12.0
 
     def test_domain_error(self):
         prof = numgrid.ScalarProfile.constant(1.0, (1.0, 2.0))
@@ -114,61 +112,6 @@ class TestRichardson:
         assert rep.extrapolated == pytest.approx(3.0, abs=1e-14)
 
 
-class TestFindRoot:
-    def test_linear(self):
-        assert numgrid.find_root(lambda r: r - 2.0, (1.0, 3.0)) == \
-            pytest.approx(2.0, abs=1e-12)
-
-    def test_isotropic_areal_derivative(self):
-        # d/ds [s (1 + 1/(2s))^2] = 1 - 1/(4 s^2): root at s = 1/2
-        root = numgrid.find_root(lambda s: 1.0 - 1.0 / (4 * s * s),
-                                 (0.1, 2.0))
-        assert root == pytest.approx(0.5, abs=1e-12)
-
-    def test_no_sign_change(self):
-        with pytest.raises(BracketError):
-            numgrid.find_root(lambda r: 1.0, (1.0, 3.0))
-        with pytest.raises(BracketError, match=r"no sign change on "
-                           r"\[1.0, 3.0\]: f=-1,-3"):
-            numgrid.find_root(lambda r: -r, (1.0, 3.0))
-
-    @pytest.mark.parametrize("f, bracket, root", [
-        (np.cos, (0.0, 3.0), np.pi / 2),
-        (lambda x: x**3 - 2.0, (0.0, 2.0), 2.0 ** (1.0 / 3.0)),
-        # flat to 1e-100 over 1e-11 around the root: plain secant stalls
-        (lambda x: (x - 1.0) ** 9, (0.0, 3.0), 1.0),
-        (lambda x: (x - 1.0) ** 9, (1.7, -5.0), 1.0),
-    ])
-    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
-    def test_within_tol(self, f, bracket, root, tol):
-        assert abs(numgrid.find_root(f, bracket, tol=tol) - root) <= tol
-
-    @pytest.mark.parametrize("f, root", [
-        (lambda x: (x - 1.0) ** 9, 1.0),
-        # regula falsi creeps up on a jump from the end with the small |f|
-        (lambda x: -1.0 if x < 0.3 else 1000.0, 0.3),
-        (lambda x: -1.0 if x < 0.7123456789 else 1000.0, 0.7123456789),
-    ])
-    def test_bisection_fallback(self, f, root):
-        # a step that fails to halve the bracket is followed by a
-        # bisection, so a width of 3 reaches 1e-12 within
-        # 2 * ceil(log2(3e12)) evaluations after the two end values;
-        # Illinois steps alone take 157 to 432 here
-        calls = []
-
-        def counted(x):
-            calls.append(x)
-            return f(x)
-
-        assert abs(numgrid.find_root(counted, (0.0, 3.0)) - root) <= 1e-12
-        assert len(calls) <= 2 + 2 * int(np.ceil(np.log2(3e12)))
-
-    def test_roots_at_bracket_ends(self):
-        assert numgrid.find_root(lambda x: x - 1.0, (1.0, 2.0)) == 1.0
-        assert numgrid.find_root(lambda x: x - 1.0, (0.0, 1.0)) == 1.0
-        assert numgrid.find_root(np.sin, (0.0, 1.0)) == 0.0
-
-
 class TestAxisymGrid:
     @pytest.mark.parametrize("M", [8, 9, 16, 33, 48, 64, 128])
     def test_x_exactly_odd(self, M):
@@ -187,7 +130,7 @@ def _flat_laplace_setup(n_r=16, n_theta=16, r_in=1.0, r_out=4.0):
     from cornermass.harmonic.solver import _assemble_operator
     grid = numgrid.AxisymGrid.build(np.linspace(r_in, r_out, n_r), n_theta)
     data = scenario_build("flat")
-    coeffs = build_coefficients(data, grid, "areal")
+    coeffs = build_coefficients(data, grid)
     return grid, _assemble_operator(coeffs, "trapped_const")
 
 
@@ -209,7 +152,7 @@ class TestEllipticSolver:
         from cornermass.harmonic.solver import _assemble_operator
         grid = numgrid.AxisymGrid.build(np.linspace(1.0 / 24, 1.0, 24), 12)
         data = scenario_build("flat")
-        coeffs = build_coefficients(data, grid, "areal")
+        coeffs = build_coefficients(data, grid)
         op = _assemble_operator(coeffs, "center")
         boundary = np.zeros((grid.n_r, grid.n_theta))
         src = np.full_like(boundary, -6.0)
@@ -281,7 +224,7 @@ class TestSeparatedSolveOracle:
         data = scenario_build(name, **params)
         grid = build_solver_grid(data, 16, 16, 10.0)
         coeffs = build_coefficients(data, grid)
-        mode = "center" if coeffs.chart == "areal" else "trapped_const"
+        mode = "center" if data.has_center else "trapped_const"
         return coeffs, _assemble_operator(coeffs, mode)
 
     @pytest.mark.parametrize("name, params, corners, centre", [
