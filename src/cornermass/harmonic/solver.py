@@ -12,9 +12,8 @@ the least-squares sense (Anderson acceleration, Walker & Ni 2011, history
 depth ANDERSON_DEPTH).  The loop stops when
 max|r_k| <= picard_tol * max(1, max|G(u_k)|) and returns G(u_k); since
 r_k = -A^-1 F(u_k) for the discrete equation F(u) = A u - b(u), it
-vanishes exactly at a discrete solution.  With K = 0, G does
-not depend on u and its first value is returned.  The residual
-max|F(u)| over the source rows of the returned field is reported as
+vanishes exactly at a discrete solution.  The residual max|F(u)| over
+the source rows of the returned field is reported as
 ``nonlinear_residual``.
 
 The grid's operator separates: every ring's row is a radial
@@ -28,6 +27,15 @@ G(u_k) - u_k = A~^-1 (b(u_k) - A u_k) from the current u_k (A~^-1 the
 factor's solve), the first from u_0 = the Dirichlet data, so its
 rounding shrinks with the correction and the fixed point is still
 exactly A u = b(u).
+
+With K = 0 the equation is Delta u = 0 and the radial data make the
+solution exactly u = phi(s) cos(theta): x = cos(theta) is an eigenvector
+of the discrete angular operator with eigenvalue -2 and the Dirichlet
+data are phi_i x_j.  No Picard step and no separated factor run; phi is
+one dense radial solve (``EllipticOperator.solve_l1``), and since b does
+not depend on u, max|A u - b| over every row is reported as both the
+linear and the nonlinear residual.
+
 Outer Dirichlet data is the truncated asymptote a * rho cos(theta).  The
 data decides the inner boundary: data with a smooth centre
 (``data.has_center``) couples the innermost ring to an extra unknown, the
@@ -172,6 +180,50 @@ def _assemble_operator(coeffs: GridCoefficients,
                             centre)
 
 
+def _source(coeffs: GridCoefficients, fld: AxisymField, delta):
+    """-K |grad u|_delta, the right-hand side frozen at fld."""
+    return -coeffs.K[:, None] * fld.grad_norm(delta=delta)
+
+
+def _picard(operator: EllipticOperator, coeffs: GridCoefficients, boundary,
+            opts: SolveOptions):
+    """Anderson-mixed Picard from the Dirichlet data: the fixed point u,
+    max|G(u_k) - u_k| per step and the largest linear residual."""
+    u = boundary.copy()
+    picard_changes = []
+    residual = 0.0
+    hist_f, hist_g = [], []              # r_k and G(u_k), flattened
+    for step in range(opts.max_picard):
+        # one solve of the correction from u (first: the boundary data)
+        g, info = solve_linear_elliptic(
+            operator,
+            _source(coeffs, AxisymField(coeffs, u, delta=opts.delta),
+                    opts.delta),
+            boundary, start=u)
+        residual = max(residual, info["residual"])
+        f, u = g - u, g
+        change = float(np.max(np.abs(f)))
+        picard_changes.append(change)
+        if not np.isfinite(change):
+            raise PicardStagnationError(
+                f"Picard step {step + 1} left a fixed-point residual of "
+                f"{change!r}", picard_changes)
+        if change <= opts.picard_tol * max(1.0, float(np.max(np.abs(g)))):
+            return u, picard_changes, residual
+        hist_f.append(f.ravel())
+        hist_g.append(g.ravel())
+        del hist_f[:-ANDERSON_DEPTH - 1], hist_g[:-ANDERSON_DEPTH - 1]
+        if len(hist_f) > 1:
+            # u_{k+1} = G(u_k) - dG gamma, gamma minimising |r_k - dF gamma|
+            dF = np.diff(hist_f, axis=0).T
+            dG = np.diff(hist_g, axis=0).T
+            gamma = np.linalg.lstsq(dF, f.ravel(), rcond=None)[0]
+            u = g - (dG @ gamma).reshape(g.shape)
+    raise PicardStagnationError(
+        f"Picard stagnated after {opts.max_picard} iterations (last "
+        f"fixed-point residual {picard_changes[-1]:.3e})", picard_changes)
+
+
 def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
                              n_r=64, n_theta=64, L=30.0, r_inner=None,
                              options: SolveOptions = None) -> AxisymField:
@@ -197,50 +249,17 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
     boundary = sign * np.outer(coeffs.rho, grid.x)
     if inner_mode == "trapped_const":
         boundary[0, :] = 0.0
-    u = boundary.copy()
-
     k_zero = np.max(np.abs(coeffs.K)) == 0.0
-
-    def source(fld):
-        """-K |grad u|_delta, the right-hand side frozen at fld."""
-        if k_zero:
-            return np.zeros_like(fld.values)
-        return -coeffs.K[:, None] * fld.grad_norm(delta=opts.delta)
-
-    picard_changes = []
-    residual = 0.0
-    hist_f, hist_g = [], []              # r_k and G(u_k), flattened
-    for step in range(opts.max_picard):
-        # one solve of the correction from u (first: the boundary data)
-        g, info = solve_linear_elliptic(
-            operator, source(AxisymField(coeffs, u, delta=opts.delta)),
-            boundary, start=u)
-        residual = max(residual, info["residual"])
-        f, u = g - u, g
-        change = float(np.max(np.abs(f)))
-        picard_changes.append(change)
-        if not np.isfinite(change):
-            raise PicardStagnationError(
-                f"Picard step {step + 1} left a fixed-point residual of "
-                f"{change!r}", picard_changes)
-        # K = 0: G does not depend on u, so G(u_0) is the solution
-        if k_zero or change <= opts.picard_tol * max(
-                1.0, float(np.max(np.abs(g)))):
-            break
-        hist_f.append(f.ravel())
-        hist_g.append(g.ravel())
-        del hist_f[:-ANDERSON_DEPTH - 1], hist_g[:-ANDERSON_DEPTH - 1]
-        if len(hist_f) > 1:
-            # u_{k+1} = G(u_k) - dG gamma, gamma minimising |r_k - dF gamma|
-            dF = np.diff(hist_f, axis=0).T
-            dG = np.diff(hist_g, axis=0).T
-            gamma = np.linalg.lstsq(dF, f.ravel(), rcond=None)[0]
-            u = g - (dG @ gamma).reshape(g.shape)
+    if k_zero:
+        # Delta u = 0 on radial data: u = phi (x) x exactly, phi from the
+        # l = 1 radial system on the Dirichlet values of column 0 (x = 1);
+        # the fixed nodes keep the data (+0.0 on a trapped ring, not 0 * x)
+        phi = operator.solve_l1(boundary[:, 0])
+        u = np.where(operator.fixed, boundary, np.outer(phi, grid.x))
+        picard_changes = [float(np.max(np.abs(u - boundary)))]
     else:
-        raise PicardStagnationError(
-            f"Picard stagnated after {opts.max_picard} iterations (last "
-            f"fixed-point residual {picard_changes[-1]:.3e})",
-            picard_changes)
+        u, picard_changes, residual = _picard(operator, coeffs, boundary,
+                                              opts)
     # the field's |grad u|_delta, which the report divides by, overflows
     # (with K != 0 the Picard state already did)
     if not np.isfinite(opts.delta * opts.delta):
@@ -248,10 +267,28 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
             f"|grad u|_delta overflows: delta = {opts.delta!r} has no "
             f"finite square", picard_changes)
     field = AxisymField(coeffs, u, delta=opts.delta)
-    # the discrete equation's residual max|A u - b(u)| at the source rows
+    # the discrete equation's residual max|A u - b(u)|
     F = (operator.apply(operator.unknowns(u))
-         - operator.rhs(source(field), boundary))[:u.size].reshape(u.shape)
-    nonlinear_residual = float(np.max(np.abs(F[operator.source_rows])))
+         - operator.rhs(np.zeros_like(u) if k_zero
+                        else _source(coeffs, field, opts.delta), boundary))
+    if k_zero:
+        # b does not depend on u: the linear and the nonlinear residual
+        # are one max over every row, and one radial solve with no
+        # transform was the whole factor
+        residual = nonlinear_residual = float(np.max(np.abs(F)))
+        free_rings = int(np.count_nonzero(~operator.fixed[:, 0]))
+        linear = {"factorizations": 1, "solves": 1,
+                  "factor_floats": free_rings * free_rings,
+                  "eigvec_cond": 1.0, "residual": residual}
+    else:
+        F = F[:u.size].reshape(u.shape)
+        nonlinear_residual = float(np.max(np.abs(F[operator.source_rows])))
+        # over all Picard steps; residual is the largest max|A u - b|
+        linear = {"factorizations": operator.factorizations,
+                  "solves": len(picard_changes),
+                  "factor_floats": operator.factor_floats,
+                  "eigvec_cond": operator.eigvec_cond,
+                  "residual": residual}
 
     # diagnostics: maximum principle and inner normal-derivative sign
     rings = operator.fixed.all(axis=1)          # the Dirichlet rings
@@ -263,12 +300,7 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
         # source frozen at u, and the field returned is the last G(u_k)
         "picard_changes": picard_changes,
         "nonlinear_residual": nonlinear_residual,
-        # over all Picard steps; residual is the largest max|A u - b|
-        "linear": {"factorizations": operator.factorizations,
-                   "solves": len(picard_changes),
-                   "factor_floats": operator.factor_floats,
-                   "eigvec_cond": operator.eigvec_cond,
-                   "residual": residual},
+        "linear": linear,
         "max_principle_violation": mp_violation,
         "inner_mode": inner_mode,
         "chart": coeffs.chart,

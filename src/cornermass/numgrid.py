@@ -9,8 +9,9 @@ angular eigenvectors, found from the two half-size eigenproblems of the
 grid's mirror symmetry theta -> pi - theta, and one banded LU per radial
 mode), and the module's Gauss-Legendre rules, one per node count, built
 on first use.  Every linear solve is one solve of the correction from a
-field that already holds the Dirichlet data.  numpy is the only
-dependency.
+field that already holds the Dirichlet data, except the l = 1 solve of
+a field phi(r) cos(theta) with zero source, which is one dense radial
+system and needs no factor.  numpy is the only dependency.
 
 Conventions
 -----------
@@ -553,6 +554,11 @@ class EllipticOperator:
     is, so only the axis rows' values move to the other side.  The factor
     is computed on the first solve and reused by every later one; it is
     the only state the operator keeps.
+
+    x = cos(theta) is an exact eigenvector of X, with eigenvalue -2, and
+    the centre row does not couple it, so a field phi (x) x with zero
+    source needs none of this: ``solve_l1`` finds phi from one radial
+    system and builds no factor.
     """
 
     def __init__(self, radial, ring_scale, angular, axis_weights, fixed,
@@ -698,6 +704,41 @@ class EllipticOperator:
         u[free, 0] += inner[:, :3] @ w_n
         u[free, -1] += inner[:, -3:] @ w_s
         return v
+
+    def solve_l1(self, phi):
+        """The radial factor of the solution phi (x) x of A v = 0 at every
+        free row, x = cos(theta), given phi at the fixed rings (the
+        Dirichlet data phi_i x_j); returns phi with its free rings filled.
+
+        x is an eigenvector of ``reduced_angular`` with eigenvalue -2: the
+        flux faces 1 - x_j x_{j+1} difference to -2 x_j, and the axis rows'
+        quadratic extrapolation is exact on linear x.  The centre row's
+        x-weights are even, so on phi (x) x the centre value is 0 and drops
+        out.  What is left is one radial system on the free rings, their
+        ``radial`` rows with -2 ``ring_scale`` on the diagonal (corner rows
+        included, their ring_scale is 0), the couplings to the fixed rings
+        moved to the right-hand side; it is solved as a dense n x n system,
+        n the free rings, by LAPACK."""
+        N, free = self.radial.shape[0], self._free
+        i = np.arange(N)
+        A = np.zeros((N, N + 4))             # rings i-2 .. i+2, padded
+        for o in range(5):
+            A[i, i + o] = self.radial[:, o]
+        A = A[:, 2:-2]
+        A[i, i] -= 2.0 * self.ring_scale
+        phi = np.array(phi, dtype=float)
+        fixed = np.ones(N, dtype=bool)
+        fixed[free] = False
+        rhs = -np.sum(A[free][:, fixed] * phi[fixed], axis=1)
+        try:
+            phi[free] = np.linalg.solve(A[free, free], rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularFactorError(
+                f"the l = 1 radial system is singular ({exc})") from None
+        if not np.all(np.isfinite(phi)):
+            raise SingularFactorError(
+                "the l = 1 radial solve is not finite")
+        return phi
 
     @property
     def factor_floats(self):

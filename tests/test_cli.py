@@ -451,6 +451,32 @@ H = -3.0
             return band_lu(lower2, lower1, diag, upper1, upper2)
 
         monkeypatch.setattr(numgrid, "band_lu", singular)
+        # K != 0: the separated factor (K = 0 data never reach band_lu)
+        path = write(tmp_path, "m.cfg", """
+[run]
+scenario = hyperbolic_negschw
+resolutions = 16
+truncation = 12.0
+""")
+        rc = cli.main(["massbound", "--config", path, "--deterministic"])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, message", [
+        (0.0, "singular"), (np.nan, "not finite")], ids=["zero", "nan"])
+    def test_singular_l1_system_exits_3(self, tmp_path, capsys, monkeypatch,
+                                        value, message):
+        from cornermass.harmonic import solver
+        assemble = solver._assemble_operator
+
+        def broken(coeffs, inner_mode):
+            # ring 2's row of the K = 0 radial system: all zero or NaN
+            op = assemble(coeffs, inner_mode)
+            op.radial[2] = value
+            op.ring_scale[2] = value
+            return op
+
+        monkeypatch.setattr(solver, "_assemble_operator", broken)
         path = write(tmp_path, "m.cfg", """
 [run]
 scenario = flat
@@ -458,8 +484,9 @@ resolutions = 16
 truncation = 12.0
 """)
         rc = cli.main(["massbound", "--config", path, "--deterministic"])
+        err = capsys.readouterr().err
         assert rc == 3
-        assert "numerical failure" in capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and message in err
 
 
 class TestExitCodes:
@@ -802,6 +829,36 @@ truncation = 10.0
             csvs.append(open(csvp, "rb").read())
         assert outs[0] == outs[1]
         assert csvs[0] == csvs[1] and csvs[0].count(b"\n") == 1 + 25 * 25
+
+
+    def test_k_zero_report_independent_of_blas_threads(self, tmp_path):
+        # K = 0 data solve no product whose rounding follows the BLAS
+        # thread count, so the bench's schwarzschild report is the same
+        # bytes at one and at two threads
+        cfgp = write(tmp_path, "s.cfg", """
+[run]
+scenario = schwarzschild
+resolutions = 32 64 128
+truncation = 40
+[scenario]
+m = 1.0
+""")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src)
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS"):
+                env[var] = threads
+            out = tmp_path / f"t{threads}.json"
+            csvp = tmp_path / f"t{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "cornermass.cli", "massbound",
+                 "--config", cfgp, "--deterministic", "--out", str(out),
+                 "--csv", str(csvp)], env=env, capture_output=True)
+            assert proc.returncode == 0, proc.stderr
+            reports.append((out.read_bytes(), csvp.read_bytes()))
+        assert reports[0] == reports[1]
 
 
 class TestRegress:

@@ -53,18 +53,62 @@ class TestSolver:
         assert fld.diagnostics["inner_mode"] == mode
         assert fld.diagnostics["chart"] == chart == fld.coeffs.chart
 
-    def test_k_zero_one_factor_solve(self, monkeypatch):
-        # the one linear solve is one correction from the boundary data,
-        # so one pass through the factor
-        from cornermass.numgrid import EllipticOperator
-        calls = []
-        solve = EllipticOperator.solve
-        monkeypatch.setattr(EllipticOperator, "solve",
-                            lambda op, b: calls.append(1) or solve(op, b))
-        data = scenario_build("schwarzschild", m=1.0)
-        fld = solve_spacetime_harmonic(data, n_r=32, n_theta=32, L=30.0)
-        assert fld.diagnostics["linear"]["solves"] == 1
-        assert len(calls) == 1
+    def test_k_zero_solves_one_radial_system(self, monkeypatch):
+        # K = 0: u = phi (x) x from one l = 1 radial solve; the separated
+        # factor (angular eigenproblem, per-mode band LU) is never built
+        from cornermass import numgrid
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the separated factor was reached")
+
+        for name in ("mirror_eig", "band_lu"):
+            monkeypatch.setattr(numgrid, name, refuse)
+        monkeypatch.setattr(numgrid.EllipticOperator, "solve", refuse)
+        for name in ("schwarzschild", "flat", "shi_tam_glue"):
+            fld = solve_spacetime_harmonic(scenario_build(name), n_r=32,
+                                           n_theta=32, L=30.0)
+            diag = fld.diagnostics
+            assert diag["linear"]["solves"] == 1
+            assert diag["linear"]["factorizations"] == 1
+            assert diag["linear"]["eigvec_cond"] == 1.0
+            assert diag["linear"]["residual"] == diag["nonlinear_residual"]
+            assert len(diag["picard_changes"]) == 1
+
+    @pytest.mark.parametrize("name, n, L", [
+        ("flat", 32, 20.0), ("schwarzschild", 128, 40.0),
+        ("isotropic_schwarzschild", 32, 20.0), ("polynomial", 32, 20.0),
+        ("shi_tam_glue", 32, 20.0), ("shi_tam_glue", 96, 20.0)])
+    def test_k_zero_field_matches_separated_solve(self, name, n, L):
+        # the l = 1 field against the separated solve on the same operator
+        from cornermass.harmonic import solver
+        from cornermass.numgrid import solve_linear_elliptic
+        data = scenario_build(name)
+        fld = solve_spacetime_harmonic(data, n_r=n, n_theta=n, L=L)
+        assert np.max(np.abs(fld.coeffs.K)) == 0.0
+        op = solver._assemble_operator(fld.coeffs,
+                                       fld.diagnostics["inner_mode"])
+        ref, _ = solve_linear_elliptic(op, np.zeros_like(fld.values),
+                                       np.where(op.fixed, fld.values, 0.0))
+        scale = float(np.max(np.abs(ref)))
+        assert scale >= L / 2
+        assert np.max(np.abs(fld.values - ref)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n_theta", [8, 17, 64, 129, 384])
+    def test_x_is_the_l1_mode(self, n_theta):
+        # x = cos(theta) is an eigenvector of the reduced angular matrix
+        # with eigenvalue -2, and the centre row's weights annihilate it
+        from cornermass.harmonic import solver
+        data = scenario_build("shi_tam_glue")
+        grid = build_solver_grid(data, 16, n_theta, 20.0, None)
+        op = solver._assemble_operator(build_coefficients(data, grid),
+                                       "center")
+        X, x = op.reduced_angular(), grid.x
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(X @ x[1:-1] + 2.0 * x[1:-1])) <= \
+            8 * eps * np.max(np.abs(X))
+        _, w0, w1 = op.centre
+        for w in (w0, w1):
+            assert abs(w @ x) <= 4 * eps * np.sum(np.abs(w))
 
     def test_maximum_principle(self):
         for name in ("flat", "schwarzschild", "hyperbolic_negschw"):
