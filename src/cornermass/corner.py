@@ -88,14 +88,12 @@ class GluedDataSet:
 
     patches: Tuple[RadialPatch, ...]
     interfaces: Tuple[CornerInterface, ...]
-    decay_order: float
     asymptotically_flat: bool = True
     topology_trivial: bool = True      # user-asserted H_2(M_ext, S) = 0 stand-in
     name: str = "custom"
     expectations: Dict[str, float] = field(default_factory=dict)
     chart: Optional[IsotropicChart] = None   # no corners, no centre
     has_center: bool = False           # innermost patch reaches r = 0 smoothly
-    grading_anchor: Optional[float] = None  # sqrt-grading radius for solver grids
 
     def __post_init__(self):
         if self.chart is not None and (self.interfaces or self.has_center):
@@ -172,14 +170,14 @@ def interface_from_patches(inner: RadialPatch, outer: RadialPatch, r_c,
 
 
 def glue(inner: RadialPatch, outer: RadialPatch, r_c, *,
-         allow_discontinuous_f=False, decay_order=1.0, name="glued",
-         expectations=None, has_center=None, grading_anchor=None,
+         allow_discontinuous_f=False, name="glued", expectations=None,
          asymptotically_flat=True) -> GluedDataSet:
     """Join two patches at the corner sphere r = r_c.
 
     The shared areal chart guarantees the induced boundary metrics match;
     ``f`` itself (the normal derivative data) may jump only when
-    ``allow_discontinuous_f`` is set.
+    ``allow_discontinuous_f`` is set.  The data set has a smooth centre
+    when the inner patch starts at r = 0.
     """
     tol = _TILE_TOL * max(1.0, r_c)
     if abs(inner.r_out - r_c) > tol or abs(outer.r_in - r_c) > tol:
@@ -194,12 +192,9 @@ def glue(inner: RadialPatch, outer: RadialPatch, r_c, *,
             "pass allow_discontinuous_f=True to encode a mean-curvature jump")
     iface = interface_from_patches(inner, outer, r_c)
     return GluedDataSet(
-        patches=(inner, outer), interfaces=(iface,),
-        decay_order=decay_order, name=name,
+        patches=(inner, outer), interfaces=(iface,), name=name,
         expectations=dict(expectations or {}),
-        has_center=(inner.r_in == 0.0 if has_center is None else has_center),
-        grading_anchor=grading_anchor,
-        asymptotically_flat=asymptotically_flat)
+        has_center=inner.r_in == 0.0, asymptotically_flat=asymptotically_flat)
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +227,15 @@ def scenario_build(name, **params) -> GluedDataSet:
     return builder(**params)
 
 
-def _zero_profile(domain):
-    return ScalarProfile.constant(0.0, domain)
+_ZERO = ScalarProfile.constant(0.0)
 
 
 @register_scenario("flat")
 def _flat(r_out=260.0):
-    dom = (0.0, r_out)
-    patch = RadialPatch(flat_metric_profile(r_out), _zero_profile(dom),
-                        _zero_profile(dom), 0.0, r_out, label="flat")
-    return GluedDataSet(patches=(patch,), interfaces=(), decay_order=1.0,
-                        name="flat", has_center=True,
+    patch = RadialPatch(flat_metric_profile(), _ZERO, _ZERO, 0.0, r_out,
+                        label="flat")
+    return GluedDataSet(patches=(patch,), interfaces=(), name="flat",
+                        has_center=True,
                         expectations={"E": 0.0, "P": 0.0, "jump": 0.0})
 
 
@@ -250,13 +243,10 @@ def _flat(r_out=260.0):
 def _schwarzschild(m=1.0, r_in=None, r_out=260.0):
     if r_in is None:
         r_in = 2.0 * m + 1e-6 * max(m, 1.0)
-    dom = (r_in, r_out)
-    patch = RadialPatch(schwarzschild_metric_profile(m, r_in, r_out),
-                        _zero_profile(dom), _zero_profile(dom),
+    patch = RadialPatch(schwarzschild_metric_profile(m, r_in), _ZERO, _ZERO,
                         r_in, r_out, label=f"schwarzschild m={m}")
     chart = IsotropicChart(s_min=float(areal_sigma(m, r_in)), mass=m)
-    return GluedDataSet(patches=(patch,), interfaces=(), decay_order=1.0,
-                        name="schwarzschild", grading_anchor=2.0 * m,
+    return GluedDataSet(patches=(patch,), interfaces=(), name="schwarzschild",
                         chart=chart, expectations={"E": m, "P": 0.0})
 
 
@@ -269,14 +259,11 @@ def _isotropic_schwarzschild(m=1.0, r_out=260.0):
     r(s) = s (1 + m/2s)^2 is smallest.
     """
     r_in = 2.0 * m + 1e-6 * max(m, 1.0)
-    dom = (r_in, r_out)
-    patch = RadialPatch(schwarzschild_metric_profile(m, r_in, r_out),
-                        _zero_profile(dom), _zero_profile(dom),
+    patch = RadialPatch(schwarzschild_metric_profile(m, r_in), _ZERO, _ZERO,
                         r_in, r_out, label=f"isotropic schwarzschild m={m}")
     chart = IsotropicChart(s_min=0.05 * m, mass=m)
-    return GluedDataSet(patches=(patch,), interfaces=(), decay_order=1.0,
-                        name="isotropic_schwarzschild", grading_anchor=2.0 * m,
-                        chart=chart,
+    return GluedDataSet(patches=(patch,), interfaces=(),
+                        name="isotropic_schwarzschild", chart=chart,
                         expectations={"E": m, "P": 0.0,
                                       "minimal_sphere_s": 0.5 * m,
                                       "minimal_sphere_area": 16.0 * np.pi * m * m})
@@ -292,18 +279,13 @@ def _hyperbolic_negschw(k_sign=1, r_out=260.0):
     """
     if k_sign not in (1, -1):
         raise ValueError("k_sign must be +1 or -1")
-    inner = RadialPatch(hyperbolic_metric_profile(1.0),
-                        ScalarProfile.constant(float(k_sign), (0.0, 1.0)),
-                        ScalarProfile.constant(float(k_sign), (0.0, 1.0)),
-                        0.0, 1.0, label="hyperbolic ball")
-    outer = RadialPatch(
-        schwarzschild_metric_profile(-0.5, 1.0, r_out),
-        _zero_profile((1.0, r_out)), _zero_profile((1.0, r_out)),
-        1.0, r_out, label="negative-mass schwarzschild")
-    ds = glue(inner, outer, 1.0, decay_order=1.0, name="hyperbolic_negschw",
-              expectations={"E": -0.5, "P": 0.0, "jump": -2.0},
-              has_center=True)
-    return ds
+    k = ScalarProfile.constant(float(k_sign))
+    inner = RadialPatch(hyperbolic_metric_profile(), k, k, 0.0, 1.0,
+                        label="hyperbolic ball")
+    outer = RadialPatch(schwarzschild_metric_profile(-0.5, 1.0), _ZERO, _ZERO,
+                        1.0, r_out, label="negative-mass schwarzschild")
+    return glue(inner, outer, 1.0, name="hyperbolic_negschw",
+                expectations={"E": -0.5, "P": 0.0, "jump": -2.0})
 
 
 @register_scenario("shi_tam_glue")
@@ -327,26 +309,21 @@ def _shi_tam_glue(r0=1.0, H=2.0, omega_nn=0.0, omega_tan=0.0, r_out=None):
     m_ext = 0.5 * r0 * (1.0 - f0_ext)
     if r_out is None:
         r_out = 1000.0 * r0
-    dom_in = (0.0, r0)
     # smooth interior profile hitting f(r0) = f0_in with a regular centre
-    f_in = ScalarProfile.from_callables(
-        lambda r: 1.0 + (f0_in - 1.0) * (np.asarray(r) / r0) ** 2,
-        lambda r: 2.0 * (f0_in - 1.0) * np.asarray(r) / r0**2, dom_in)
+    f_in = ScalarProfile(lambda r: 1.0 + (f0_in - 1.0) * (r / r0) ** 2,
+                         lambda r: 2.0 * (f0_in - 1.0) * r / r0**2)
     b0 = -0.5 * omega_nn  # pi(nu,nu) = -2b on the inner side
-    b_in = ScalarProfile.from_callables(
-        lambda r: b0 * (np.asarray(r) / r0) ** 2,
-        lambda r: 2.0 * b0 * np.asarray(r) / r0**2, dom_in)
-    inner = RadialPatch(f_in, _zero_profile(dom_in), b_in, 0.0, r0,
-                        label="shi-tam inner")
-    outer = RadialPatch(schwarzschild_metric_profile(m_ext, r0, r_out),
-                        _zero_profile((r0, r_out)), _zero_profile((r0, r_out)),
+    b_in = ScalarProfile(lambda r: b0 * (r / r0) ** 2,
+                         lambda r: 2.0 * b0 * r / r0**2)
+    inner = RadialPatch(f_in, _ZERO, b_in, 0.0, r0, label="shi-tam inner")
+    outer = RadialPatch(schwarzschild_metric_profile(m_ext, r0), _ZERO, _ZERO,
                         r0, r_out, label="shi-tam extension")
     h_minus = mean_curvature_sphere(inner, r0)
     h_plus = mean_curvature_sphere(outer, r0)
     iface = CornerInterface(r0, h_minus, h_plus,
                             (omega_nn, omega_tan), (0.0, 0.0))
     return GluedDataSet(patches=(inner, outer), interfaces=(iface,),
-                        decay_order=1.0, name="shi_tam_glue",
+                        name="shi_tam_glue",
                         expectations={"E": m_ext, "jump": 0.0},
                         has_center=True)
 
@@ -376,30 +353,27 @@ def _polynomial(f_inv_coeffs=(), a_inv_coeffs=(), b_inv_coeffs=(),
                 out = out - k * c * r ** (-k - 1)
             return out
 
-        return ScalarProfile(val, d1, (r_in, r_out))
+        return ScalarProfile(val, d1)
 
     patch = RadialPatch(prof(f_inv_coeffs, 1.0), prof(a_inv_coeffs, 0.0),
                         prof(b_inv_coeffs, 0.0), float(r_in), float(r_out),
                         label="polynomial")
-    return GluedDataSet(patches=(patch,), interfaces=(), decay_order=1.0,
-                        name="polynomial", expectations={})
+    return GluedDataSet(patches=(patch,), interfaces=(), name="polynomial",
+                        expectations={})
 
 
 @register_scenario("custom")
-def _custom(patches, interfaces=None, decay_order=1.0, label="custom",
-            has_center=None, grading_anchor=None, expectations=None,
-            asymptotically_flat=True):
+def _custom(patches, interfaces=None, label="custom", has_center=None,
+            expectations=None, asymptotically_flat=True):
     patches = tuple(patches)
     if interfaces is None:
         interfaces = tuple(
             interface_from_patches(p, q, p.r_out)
             for p, q in zip(patches[:-1], patches[1:]))
     return GluedDataSet(
-        patches=patches, interfaces=tuple(interfaces),
-        decay_order=decay_order, name=label,
+        patches=patches, interfaces=tuple(interfaces), name=label,
         expectations=dict(expectations or {}),
         has_center=(patches[0].r_in == 0.0 if has_center is None
                     else has_center),
-        grading_anchor=grading_anchor,
         asymptotically_flat=asymptotically_flat)
 

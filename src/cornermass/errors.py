@@ -6,7 +6,7 @@ class CornerMassError(Exception):
 
 
 class DomainError(CornerMassError):
-    """A radius (or coordinate) fell outside the domain of a profile or patch."""
+    """A radius (or coordinate) fell outside a patch or the data set."""
 
 
 class IntegrationDivergedError(CornerMassError):

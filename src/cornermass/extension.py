@@ -34,6 +34,17 @@ from .geometry import RadialPatch, constraints, scalar_curvature
 from .masses import QuasilocalReport, quasilocal
 from .numgrid import ScalarProfile, integrate_ode, limit_from_sequence
 
+# the sampled extension: EXTEND_STEPS + 1 radii, log-uniform out to
+# EXTEND_SPAN r0
+EXTEND_SPAN = 1000.0
+EXTEND_STEPS = 4000
+# an extension energy below -CERTIFICATE_TOL certifies
+CERTIFICATE_TOL = 1e-12
+# collar samples of each mollification record
+COLLAR_SAMPLES = 512
+# RK4 steps of a conformal deformation over its whole radius range
+DEFORM_STEPS = 6000
+
 
 # ---------------------------------------------------------------------------
 # Quasispherical extension (round case)
@@ -57,12 +68,12 @@ class ExtensionResult:
         return float(self.q_samples[0])
 
 
-def shi_tam_extend(r0, H_eff, *, span=1000.0, n_steps=4000) -> ExtensionResult:
+def shi_tam_extend(r0, H_eff) -> ExtensionResult:
     """Scalar-flat extension of a round sphere with effective curvature H_eff.
 
     The profile is the closed form f = 1 - c/r, c = (1 - f0) r0, with its
-    analytic derivative; f and Q are sampled at n_steps + 1 radii uniform
-    in s = log(r/r0) out to span * r0.  H_eff is H - |omega| for the
+    analytic derivative; f and Q are sampled at EXTEND_STEPS + 1 radii
+    uniform in s = log(r/r0) out to EXTEND_SPAN * r0.  H_eff is H - |omega| for the
     quasilocal pipeline and H - f for certificates.
     """
     if r0 <= 0:
@@ -71,20 +82,19 @@ def shi_tam_extend(r0, H_eff, *, span=1000.0, n_steps=4000) -> ExtensionResult:
         raise HypothesisError("need H_eff > 0 for the quasispherical lapse")
     f0 = (H_eff * r0 / 2.0) ** 2
     c = (1.0 - f0) * r0
-    radii = r0 * np.exp(np.arange(n_steps + 1) * (np.log(span) / n_steps))
-    dom = (float(radii[0]), float(radii[-1]))
-    profile = ScalarProfile.from_callables(
-        lambda r: 1.0 - c / r, lambda r: c / r**2, dom, label="extension f")
+    radii = r0 * np.exp(np.arange(EXTEND_STEPS + 1)
+                        * (np.log(EXTEND_SPAN) / EXTEND_STEPS))
+    profile = ScalarProfile(lambda r: 1.0 - c / r, lambda r: c / r**2)
     f = profile.value(radii)
     q = radii * (1.0 - np.sqrt(np.maximum(f, 0.0)))
     # limits from samples at radius ratio 2 so the 1/r tails extrapolate
     r_tail = radii[-1] * np.array([0.25, 0.5, 1.0])
     f_tail = profile.value(r_tail)
-    e_far, _ = limit_from_sequence(0.5 * r_tail * (1.0 - f_tail), p=1.0)
-    q_far, _ = limit_from_sequence(r_tail * (1.0 - np.sqrt(f_tail)), p=1.0)
-    patch = RadialPatch(profile, ScalarProfile.constant(0.0, dom),
-                        ScalarProfile.constant(0.0, dom),
-                        dom[0], dom[1], label="quasispherical extension")
+    e_far, _ = limit_from_sequence(0.5 * r_tail * (1.0 - f_tail))
+    q_far, _ = limit_from_sequence(r_tail * (1.0 - np.sqrt(f_tail)))
+    zero = ScalarProfile.constant(0.0)
+    patch = RadialPatch(profile, zero, zero, float(radii[0]),
+                        float(radii[-1]), label="quasispherical extension")
     return ExtensionResult(
         r0=float(r0), lapse0=float(1.0 / np.sqrt(f0)), f_profile=profile,
         radii=radii, f_samples=f, q_samples=q,
@@ -159,8 +169,8 @@ class CertificateVerdict:
         return self.verdict == "no-DEC-fill-in"
 
 
-def fillin_certificate(r0, H, tr_alpha=0.0, beta_abs=0.0,
-                       tolerance=1e-12) -> CertificateVerdict:
+def fillin_certificate(r0, H, tr_alpha=0.0,
+                       beta_abs=0.0) -> CertificateVerdict:
     """Certify non-existence of dominant-energy fill-ins for round data.
 
     The glued set (hypothetical fill-in + scalar-flat extension with
@@ -176,7 +186,8 @@ def fillin_certificate(r0, H, tr_alpha=0.0, beta_abs=0.0,
     if r0 <= 0:
         raise HypothesisError("boundary radius must be positive")
     e_ext = float(0.5 * r0 * (1.0 - (h_eff * r0 / 2.0) ** 2))
-    verdict = "no-DEC-fill-in" if e_ext < -tolerance else "inconclusive"
+    verdict = "no-DEC-fill-in" if e_ext < -CERTIFICATE_TOL else \
+        "inconclusive"
     return CertificateVerdict(r0=float(r0), H=float(H), bartnik_f=f_b,
                               E_ext=e_ext, verdict=verdict,
                               margin=float(-e_ext),
@@ -199,27 +210,23 @@ def _smooth_step_d1(t):
     return np.where(inside, (35.0 / 32.0) * (1.0 - t * t) ** 3, 0.0)
 
 
-def _blend_profiles(p_minus: ScalarProfile, p_plus: ScalarProfile, r_c, delta,
-                    domain):
+def _blend_profiles(p_minus: ScalarProfile, p_plus: ScalarProfile, r_c,
+                    delta):
     """One-sided extensions blended across the collar by the smooth step."""
 
     def val(r):
-        t = (np.asarray(r, dtype=float) - r_c) / delta
-        fm = p_minus.value(r, extrapolate=True)
-        fp = p_plus.value(r, extrapolate=True)
+        t = (r - r_c) / delta
+        fm, fp = p_minus.value(r), p_plus.value(r)
         return fm + _smooth_step(t) * (fp - fm)
 
     def d1(r):
-        r = np.asarray(r, dtype=float)
         t = (r - r_c) / delta
-        fm, fp = (p_minus.value(r, extrapolate=True),
-                  p_plus.value(r, extrapolate=True))
-        dm, dp = (p_minus.derivative(r, extrapolate=True),
-                  p_plus.derivative(r, extrapolate=True))
+        fm, fp = p_minus.value(r), p_plus.value(r)
+        dm, dp = p_minus.derivative(r), p_plus.derivative(r)
         return dm + _smooth_step(t) * (dp - dm) \
             + _smooth_step_d1(t) / delta * (fp - fm)
 
-    return ScalarProfile(val, d1, domain, label="mollified")
+    return ScalarProfile(val, d1)
 
 
 @dataclass(frozen=True)
@@ -237,8 +244,7 @@ class MollifyReport:
     lipschitz_bounded: bool
 
 
-def mollify_corner(data: GluedDataSet, interface_index: int, delta: float,
-                   n_samples=512):
+def mollify_corner(data: GluedDataSet, interface_index: int, delta: float):
     """Smooth the data across one corner on the collar (r_c - d, r_c + d).
 
     Returns (collar_patch, MollifyReport): the collar patch is the blended
@@ -263,12 +269,12 @@ def mollify_corner(data: GluedDataSet, interface_index: int, delta: float,
     collar_patch = None
     for d in (delta, delta / 2.0, delta / 4.0):
         dom = (r_c - d, r_c + d)
-        fb = _blend_profiles(p_minus.f, p_plus.f, r_c, d, dom)
-        ab = _blend_profiles(p_minus.a, p_plus.a, r_c, d, dom)
-        bb = _blend_profiles(p_minus.b, p_plus.b, r_c, d, dom)
+        fb = _blend_profiles(p_minus.f, p_plus.f, r_c, d)
+        ab = _blend_profiles(p_minus.a, p_plus.a, r_c, d)
+        bb = _blend_profiles(p_minus.b, p_plus.b, r_c, d)
         patch = RadialPatch(fb, ab, bb, dom[0], dom[1],
                             label=f"collar d={d:g}")
-        rs = np.linspace(dom[0], dom[1], n_samples)
+        rs = np.linspace(dom[0], dom[1], COLLAR_SAMPLES)
         lip = float(np.max(np.abs(fb.derivative(rs))))
         supk = float(max(np.max(np.abs(ab.value(rs))),
                          np.max(np.abs(bb.value(rs)))))
@@ -311,10 +317,8 @@ def mollified_data(data: GluedDataSet, interface_index: int,
         for p, q in zip(new_patches[:-1], new_patches[1:]))
     return GluedDataSet(
         patches=tuple(new_patches), interfaces=interfaces,
-        decay_order=data.decay_order, name=data.name + "+mollified",
-        expectations=dict(data.expectations),
-        has_center=data.has_center, grading_anchor=data.grading_anchor,
-        topology_trivial=data.topology_trivial)
+        name=data.name + "+mollified", expectations=dict(data.expectations),
+        has_center=data.has_center, topology_trivial=data.topology_trivial)
 
 
 # ---------------------------------------------------------------------------
@@ -344,18 +348,17 @@ def _b_source(data: GluedDataSet, r):
 
 
 def conformal_deform(data: GluedDataSet, collar: Tuple[float, float],
-                     r_F: float, *, m_base=None, n_steps=6000,
-                     r_far=None, b_override=None) -> DeformationResult:
+                     r_F: float, *, m_base=None,
+                     b_override=None) -> DeformationResult:
     """Solve D u + (1/8) b u = 0 with Neumann data at r_F and u -> 1 far out.
 
     The equation is linear, so the two-point problem is solved by one
-    shooting pass: integrate v with v(r_F) = 1, v'(r_F) = 0 and rescale by
-    the far-field limit.  The leading coefficient A is fit by least squares
+    shooting pass: integrate v with v(r_F) = 1, v'(r_F) = 0 out to the
+    data's outer radius and rescale by the far-field limit.  The leading coefficient A is fit by least squares
     on r (u - 1) over the last decade of radii; the mass shift is
     m_hat = m_base + 2 A.
     """
-    if r_far is None:
-        r_far = data.r_max
+    r_far = data.r_max
     if not (data.r_min <= r_F < collar[0]):
         raise ValueError("excision radius must sit inside the data, "
                          "below the source support")
@@ -386,7 +389,7 @@ def conformal_deform(data: GluedDataSet, collar: Tuple[float, float],
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         if hi - lo < 1e-14:
             continue
-        n = max(16, int(n_steps * (hi - lo) / (r_far - r_F)))
+        n = max(16, int(DEFORM_STEPS * (hi - lo) / (r_far - r_F)))
         ts, ys = integrate_ode(rhs, y, (lo, hi), (hi - lo) / n)
         rr_all.extend(ts[1:].tolist())
         vv_all.extend(ys[1:, 0].tolist())

@@ -50,13 +50,13 @@ class RadialPatch:
         # radii inside the patch, also when it ends below r = 1
         scale = min(1.0, self.r_out)
         rs = np.linspace(max(self.r_in, 1e-8 * scale), self.r_out, 64)
-        if np.any(self.f.value(rs, extrapolate=True) <= 0):
+        if np.any(self.f.value(rs) <= 0):
             raise ValueError("metric coefficient f must be positive")
         if self.r_in == 0.0:
             # smooth centre: f(0) = 1 and finite k eigenvalues
-            f0 = float(self.f.value(1e-9 * scale, extrapolate=True))
-            a0 = float(self.a.value(1e-9 * scale, extrapolate=True))
-            b0 = float(self.b.value(1e-9 * scale, extrapolate=True))
+            f0 = float(self.f.value(1e-9 * scale))
+            a0 = float(self.a.value(1e-9 * scale))
+            b0 = float(self.b.value(1e-9 * scale))
             if abs(f0 - 1.0) > _CENTER_TOL:
                 raise ValueError(f"centre regularity violated: f(0) = {f0}")
             if not (np.isfinite(a0) and np.isfinite(b0)):
@@ -76,19 +76,19 @@ class RadialPatch:
     # -- profile access (values may be vectorized over r) --------------
 
     def fv(self, r):
-        return self.f.value(r, extrapolate=True)
+        return self.f.value(r)
 
     def fp(self, r):
-        return self.f.derivative(r, extrapolate=True)
+        return self.f.derivative(r)
 
     def av(self, r):
-        return self.a.value(r, extrapolate=True)
+        return self.a.value(r)
 
     def bv(self, r):
-        return self.b.value(r, extrapolate=True)
+        return self.b.value(r)
 
     def bp(self, r):
-        return self.b.derivative(r, extrapolate=True)
+        return self.b.derivative(r)
 
     def tr_k(self, r):
         return self.av(r) + 2.0 * self.bv(r)
@@ -262,21 +262,16 @@ def dec_check(patch: RadialPatch, samples: int = 128,
 # Stock profiles
 # ---------------------------------------------------------------------------
 
-def flat_metric_profile(r_max=np.inf):
-    return ScalarProfile.constant(1.0, (0.0, r_max), label="flat f")
+def flat_metric_profile():
+    return ScalarProfile.constant(1.0)
 
 
-def schwarzschild_metric_profile(m, r_min, r_max=np.inf):
+def schwarzschild_metric_profile(m, r_min):
     if m > 0 and r_min <= 2.0 * m:
         raise ValueError("exterior chart needs r_min > 2m")
-    return ScalarProfile.from_callables(
-        lambda r: 1.0 - 2.0 * m / np.asarray(r, dtype=float),
-        lambda r: 2.0 * m / np.asarray(r, dtype=float) ** 2,
-        (r_min, r_max), label=f"schwarzschild f (m={m})")
+    return ScalarProfile(lambda r: 1.0 - 2.0 * m / r,
+                         lambda r: 2.0 * m / r ** 2)
 
 
-def hyperbolic_metric_profile(r_max):
-    return ScalarProfile.from_callables(
-        lambda r: 1.0 + np.asarray(r, dtype=float) ** 2,
-        lambda r: 2.0 * np.asarray(r, dtype=float),
-        (0.0, r_max), label="hyperbolic f")
+def hyperbolic_metric_profile():
+    return ScalarProfile(lambda r: 1.0 + r ** 2, lambda r: 2.0 * r)

@@ -1,11 +1,12 @@
 """Spacetime-harmonic solver and the mass-inequality bookkeeping.
 
 Submodules: ``fields`` (grid coefficients, sampled fields, spacetime
-Hessian), ``solver`` (Anderson-accelerated Picard iteration of
-Delta u + K |grad u| = 0, each step one direct solve with the grid's
-separated factor), ``massbound`` (both
-sides of the mass inequality with corner terms), ``identities`` (the bulk
-integral identity and the boundary identity, checked term by term).
+Hessian), ``solver`` (Delta u + K |grad u| = 0: on K = 0 data one
+radial solve of the l = 1 system, otherwise Anderson-accelerated Picard
+iteration, each step one direct solve with the grid's separated
+factor), ``massbound`` (both sides of the mass inequality with corner
+terms), ``identities`` (the bulk integral identity and the boundary
+identity, checked term by term).
 """
 
 from .fields import (AxisymField, GridCoefficients, SpacetimeHessianField,

@@ -48,28 +48,17 @@ from ..numgrid import AxisymGrid, stencil_d1, stencil_d2
 # Solver grids
 # ---------------------------------------------------------------------------
 
-def _segment_nodes(lo, hi, n, anchor=None):
-    """n+1 nodes on [lo, hi]: log-spaced, or uniform in sqrt(s - anchor)."""
-    if anchor is not None and anchor < lo:
-        t0, t1 = np.sqrt(lo - anchor), np.sqrt(hi - anchor)
-        t = np.linspace(t0, t1, n + 1)
-        nodes = anchor + t * t
-        nodes[0], nodes[-1] = lo, hi
-        return nodes
-    nodes = np.exp(np.linspace(np.log(lo), np.log(hi), n + 1))
-    nodes[0], nodes[-1] = lo, hi
-    return nodes
-
-
 def build_solver_grid(data: GluedDataSet, n_r, n_theta, L,
                       r_inner=None) -> AxisymGrid:
     """Radial nodes from the inner radius to the truncation.
 
     For data carrying an isotropic chart the nodes are log-spaced in the
     chart coordinate from sigma_inner deep in the second sheet out to
-    sigma(L); otherwise corner radii land exactly on nodes, data with a
-    smooth centre gets an innermost node one spacing above r = 0, and a
-    grading anchor yields sqrt-graded spacing.
+    sigma(L).  Otherwise the nodes are log-spaced in the areal radius on
+    each smooth piece between the inner radius, the corner radii and L,
+    so every corner lands exactly on a node; data with a smooth centre
+    starts at 1/50 of its first break, the virtual r = 0 value supplying
+    the innermost ring's inner neighbour.
     """
     if data.chart is not None:
         m = data.chart.mass
@@ -111,10 +100,8 @@ def build_solver_grid(data: GluedDataSet, n_r, n_theta, L,
         if k == len(breaks) - 2:
             n_seg = max(8, remaining)
         remaining -= n_seg
-        anchor = data.grading_anchor
-        if anchor is not None and anchor >= lo:
-            anchor = None
-        seg = _segment_nodes(lo, hi, n_seg, anchor)
+        seg = np.exp(np.linspace(np.log(lo), np.log(hi), n_seg + 1))
+        seg[-1] = hi
         nodes.append(seg[1:])
     return AxisymGrid.build(np.concatenate(nodes), n_theta)
 

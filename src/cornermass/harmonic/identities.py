@@ -41,6 +41,13 @@ from ..errors import DomainError
 from ..numgrid import gauss_x_nodes
 from .fields import AxisymField, spacetime_hessian
 
+# Gauss-Legendre nodes of the closure route of the sphere identity
+N_QUAD = 96
+# level bins of the Euler-characteristic integral, and the |grad u| below
+# which a bin's level is near a grid critical point
+N_LEVEL_BINS = 300
+CRITICAL_GRAD = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # Boundary formula on one sphere
@@ -86,7 +93,7 @@ def _sphere_samples_from_grid(field, i, side):
 
 
 def boundary_formula_check(data: GluedDataSet, field: AxisymField, r_c,
-                           side="minus", n_quad=96) -> BoundaryFormulaReport:
+                           side="minus") -> BoundaryFormulaReport:
     """Compare both sides of the sphere identity at r = r_c, term by term.
 
     With analytic closures attached to the field the integrands are
@@ -98,7 +105,7 @@ def boundary_formula_check(data: GluedDataSet, field: AxisymField, r_c,
     use_closures = bool(field.closures)
     grid = field.grid
     if use_closures:
-        x, w = gauss_x_nodes(n_quad)
+        x, w = gauss_x_nodes(N_QUAD)
         u_r, u_x, u_rr, u_rx, u_xx = _sphere_samples_from_closures(
             field, r_c, x)
         patch = data.patch_at(r_c, side if data.is_corner(r_c) else "auto")
@@ -219,8 +226,8 @@ class IntegralFormulaReport:
 
 
 def integral_formula_check(data: GluedDataSet, field: AxisymField,
-                           region: Tuple[Optional[float], float],
-                           n_bins=300, crit_tol=1e-6) -> IntegralFormulaReport:
+                           region: Tuple[Optional[float], float]
+                           ) -> IntegralFormulaReport:
     """Bulk integral vs boundary + level-set terms on a radial region.
 
     ``region`` is (r_lo, r_hi) with r_lo = None meaning a full ball; both
@@ -297,7 +304,7 @@ def integral_formula_check(data: GluedDataSet, field: AxisymField,
     # ---- level-set Euler characteristic integral ----
     u_reg = field.values[sl]
     t_min, t_max = float(u_reg.min()), float(u_reg.max())
-    edges = np.linspace(t_min, t_max, n_bins + 1)
+    edges = np.linspace(t_min, t_max, N_LEVEL_BINS + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     dt = edges[1] - edges[0]
     axis_n = field.values[sl, 0]
@@ -316,7 +323,8 @@ def integral_formula_check(data: GluedDataSet, field: AxisymField,
     gmin_per_node = gn[sl]
     for t in mids:
         near = np.abs(u_reg - t) <= dt
-        if np.any(near) and float(np.min(gmin_per_node[near])) < crit_tol:
+        if np.any(near) and \
+                float(np.min(gmin_per_node[near])) < CRITICAL_GRAD:
             excluded_bins.append((t - 0.5 * dt, t + 0.5 * dt))
     excluded = len(excluded_bins)
     excluded_measure = excluded * dt / max(t_max - t_min, 1e-300)

@@ -29,6 +29,10 @@ from ..numgrid import ConvergenceReport, richardson
 from .fields import AxisymField, SpacetimeHessianField, spacetime_hessian
 from .solver import SolveOptions, solve_spacetime_harmonic
 
+# a node is near-critical within about CRITICAL_CELLS cells of the
+# critical set of u
+CRITICAL_CELLS = 2.0
+
 
 @dataclass
 class MassBoundReport:
@@ -75,15 +79,15 @@ def _volume_weights(field: AxisymField):
     return grid.x_weights(), above + below, w_r_plus
 
 
-def critical_mask(field: AxisymField, hes: SpacetimeHessianField, c0=2.0):
-    """Nodes within ~c0 cells of the critical set of u.
+def critical_mask(field: AxisymField, hes: SpacetimeHessianField):
+    """Nodes within ~CRITICAL_CELLS cells of the critical set of u.
 
-    A node is flagged when |grad u| < c0 * h * |sHu|, with h the local
-    proper node spacing: there the gradient direction is unresolved and
-    the 1/|grad u| quadrature is pure noise.  The mask is independent of
-    the regularization delta, so excluding it keeps the delta sequence
-    honest; the discarded proper volume is reported as the measure
-    budget (it shrinks linearly under refinement).
+    A node is flagged when |grad u| < CRITICAL_CELLS * h * |sHu|, with h
+    the local proper node spacing: there the gradient direction is
+    unresolved and the 1/|grad u| quadrature is pure noise.  The mask is
+    independent of the regularization delta, so excluding it keeps the
+    delta sequence honest; the discarded proper volume is reported as
+    the measure budget (it shrinks linearly under refinement).
     """
     c = field.coeffs
     grid = field.grid
@@ -95,7 +99,7 @@ def critical_mask(field: AxisymField, hes: SpacetimeHessianField, c0=2.0):
     h_rad = c.sqlam * ds
     h_ang = c.rho * (grid.theta[1] - grid.theta[0])
     h_loc = np.maximum(h_rad, h_ang)[:, None]
-    return gn < c0 * h_loc * np.sqrt(hes.norm_sq)
+    return gn < CRITICAL_CELLS * h_loc * np.sqrt(hes.norm_sq)
 
 
 def _side_volumes(field: AxisymField):
@@ -165,10 +169,9 @@ def _corner_integral(field: AxisymField):
 
 
 def mass_bound_report(data: GluedDataSet, field: AxisymField, adm: AdmResult,
-                      direction: int = +1, *,
-                      grid_convergence=None, epsilon_grid=None
-                      ) -> MassBoundReport:
-    """Assemble the report for one solved field.
+                      direction: int = +1) -> MassBoundReport:
+    """Assemble the report for one solved field; ``mass_bound_sweep``
+    adds the grid convergence.
 
     The delta sequence {delta, delta/2, delta/4} re-integrates the bulk
     with the frozen field (the K = 0 scenarios are exactly
@@ -210,9 +213,7 @@ def mass_bound_report(data: GluedDataSet, field: AxisymField, adm: AdmResult,
         corner_hypothesis_violated=violated, corner_jumps=jumps,
         outer_truncation_scale=float(outer_scale),
         grid_shape=(field.grid.n_r, field.grid.n_theta),
-        truncation=float(trunc),
-        grid_convergence=grid_convergence, epsilon_grid=epsilon_grid,
-        diagnostics=dict(field.diagnostics))
+        truncation=float(trunc), diagnostics=dict(field.diagnostics))
     report.diagnostics["critical_excluded_volume"] = excluded_volume
     report.diagnostics["critical_excluded_fraction"] = (
         excluded_volume / total_volume if total_volume else 0.0)

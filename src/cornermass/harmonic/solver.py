@@ -66,6 +66,8 @@ from .fields import AxisymField, GridCoefficients, build_coefficients, \
 # residuals mix each step (3 takes hyperbolic_negschw from 31 damped steps
 # per grid to 13-14)
 ANDERSON_DEPTH = 3
+# Picard steps before the solve gives up
+MAX_PICARD = 60
 
 
 @dataclass
@@ -73,7 +75,6 @@ class SolveOptions:
     delta: float = 1e-2
     direction: int = +1              # asymptote +- rho cos(theta)
     picard_tol: float = 1e-9
-    max_picard: int = 60
 
 
 def _assemble_operator(coeffs: GridCoefficients,
@@ -193,7 +194,7 @@ def _picard(operator: EllipticOperator, coeffs: GridCoefficients, boundary,
     picard_changes = []
     residual = 0.0
     hist_f, hist_g = [], []              # r_k and G(u_k), flattened
-    for step in range(opts.max_picard):
+    for step in range(MAX_PICARD):
         # one solve of the correction from u (first: the boundary data)
         g, info = solve_linear_elliptic(
             operator,
@@ -220,7 +221,7 @@ def _picard(operator: EllipticOperator, coeffs: GridCoefficients, boundary,
             gamma = np.linalg.lstsq(dF, f.ravel(), rcond=None)[0]
             u = g - (dG @ gamma).reshape(g.shape)
     raise PicardStagnationError(
-        f"Picard stagnated after {opts.max_picard} iterations (last "
+        f"Picard stagnated after {MAX_PICARD} iterations (last "
         f"fixed-point residual {picard_changes[-1]:.3e})", picard_changes)
 
 

@@ -28,6 +28,11 @@ from .errors import DomainError
 from .geometry import dec_check, mean_curvature_sphere, momentum_tensor
 from .numgrid import ConvergenceReport, gauss_x_nodes, limit_from_sequence
 
+# Gauss-Legendre nodes of every sphere quadrature
+N_QUAD = 48
+# the DEC margin below -DEC_TOLERANCE withholds the hull comparison
+DEC_TOLERANCE = 1e-8
+
 
 # ---------------------------------------------------------------------------
 # ADM energy-momentum
@@ -71,8 +76,8 @@ def geometric_ratio(radii):
     return ratio
 
 
-def adm_energy_momentum(data: GluedDataSet, radii: Sequence[float],
-                        n_quad=48) -> AdmResult:
+def adm_energy_momentum(data: GluedDataSet,
+                        radii: Sequence[float]) -> AdmResult:
     """ADM (E, P) from flux integrals at the given radii, extrapolated.
 
     The limit is taken by iterated Richardson extrapolation in 1/r over the
@@ -91,7 +96,7 @@ def adm_energy_momentum(data: GluedDataSet, radii: Sequence[float],
         raise ValueError("radii must be a strictly increasing geometric "
                          "list of length >= 2")
 
-    xq, wq = gauss_x_nodes(n_quad)
+    xq, wq = gauss_x_nodes(N_QUAD)
     e_flux, ms, pz = [], [], []
     for r in radii:
         area = 4.0 * np.pi * r * r
@@ -110,9 +115,9 @@ def adm_energy_momentum(data: GluedDataSet, radii: Sequence[float],
         flags.append("non-monotone-flux")
         if abs(diffs[-1]) > 2.0 * abs(diffs[0]):
             flags.append("divergent-flux")
-    E, conv = limit_from_sequence(e_flux, p=1.0, ratio=ratio)
-    ms_lim, _ = limit_from_sequence(ms, p=1.0, ratio=ratio)
-    P = (0.0, 0.0, float(limit_from_sequence(pz, p=1.0, ratio=ratio)[0]))
+    E, conv = limit_from_sequence(e_flux, ratio=ratio)
+    ms_lim, _ = limit_from_sequence(ms, ratio=ratio)
+    P = (0.0, 0.0, float(limit_from_sequence(pz, ratio=ratio)[0]))
     pn = float(np.linalg.norm(P))
     mass = float(np.sqrt(E * E - pn * pn)) if E >= pn else None
     return AdmResult(E=float(E), P=P, mass=mass,
@@ -126,7 +131,7 @@ def adm_energy_momentum(data: GluedDataSet, radii: Sequence[float],
 # Hawking mass
 # ---------------------------------------------------------------------------
 
-def hawking_mass(data: GluedDataSet, r, side="auto", n_quad=48) -> float:
+def hawking_mass(data: GluedDataSet, r, side="auto") -> float:
     """Hawking mass of the coordinate sphere, via the defining quadrature.
 
     (r/2)(1 - f) is the closed-form shortcut for this chart; it is kept as
@@ -134,7 +139,7 @@ def hawking_mass(data: GluedDataSet, r, side="auto", n_quad=48) -> float:
     """
     patch = data.patch_at(r, side)
     H = mean_curvature_sphere(patch, r)
-    xq, wq = gauss_x_nodes(n_quad)
+    xq, wq = gauss_x_nodes(N_QUAD)
     area = 4.0 * np.pi * r * r
     h2_int = 2.0 * np.pi * r * r * float(np.dot(wq, np.full_like(xq, H * H)))
     return float(np.sqrt(area / (16.0 * np.pi))
@@ -180,8 +185,8 @@ def quasilocal_round(r0, H, tr_sigma_k, omega_tan=0.0):
     return W, m_by, m_ly, om
 
 
-def quasilocal(data: GluedDataSet, r0, side="auto", omega_tan=0.0,
-               n_quad=48) -> QuasilocalReport:
+def quasilocal(data: GluedDataSet, r0, side="auto",
+               omega_tan=0.0) -> QuasilocalReport:
     """Quasilocal report for the coordinate sphere r = r0 of the data set."""
     patch = data.patch_at(r0, side)
     H = float(mean_curvature_sphere(patch, r0))
@@ -191,7 +196,7 @@ def quasilocal(data: GluedDataSet, r0, side="auto", omega_tan=0.0,
     return QuasilocalReport(
         r0=float(r0), H=H, tr_sigma_k=ts, omega_abs=float(om),
         H0=2.0 / r0, W=float(W), m_BY=float(m_by), m_LY=m_ly,
-        m_H=hawking_mass(data, r0, side, n_quad),
+        m_H=hawking_mass(data, r0, side),
         hypothesis_H_gt_omega=bool(H > om),
         hypothesis_H_gt_trk=bool(H > abs(ts)))
 
@@ -266,8 +271,7 @@ def _k_norms(data: GluedDataSet, r_hi):
 
 
 def comparison_check(report: QuasilocalReport, data: GluedDataSet,
-                     hull_radii: Sequence[float],
-                     dec_tolerance=1e-8) -> ComparisonReport:
+                     hull_radii: Sequence[float]) -> ComparisonReport:
     """Check W >= m_H on sphere hulls and the localized Penrose bound.
 
     Hypothesis failures (DEC, H > |omega|, the user topology assertion)
@@ -278,10 +282,10 @@ def comparison_check(report: QuasilocalReport, data: GluedDataSet,
     margins = []
     dec_min = np.inf
     for patch in data.patches:
-        rep = dec_check(patch, samples=96, tolerance=dec_tolerance,
+        rep = dec_check(patch, samples=96, tolerance=DEC_TOLERANCE,
                         exclude=data.corner_radii)
         dec_min = min(dec_min, rep.min_margin)
-    if dec_min < -dec_tolerance:
+    if dec_min < -DEC_TOLERANCE:
         reasons.append("dominant energy condition fails")
     if not report.hypothesis_H_gt_omega:
         reasons.append("H > |omega| fails on the boundary")

@@ -30,13 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    IntegrationDivergedError,
-    SingularFactorError,
-)
-
-_DOMAIN_SLACK = 1e-12
+from .errors import IntegrationDivergedError, SingularFactorError
 
 
 # ---------------------------------------------------------------------------
@@ -47,53 +41,25 @@ class ScalarProfile:
     """A scalar function of radius with its first derivative, backed by
     analytic closures: a value callable plus an optional derivative
     callable, a missing derivative falling back to a central finite
-    difference of the closure.
+    difference of the closure.  The radius interval belongs to the patch
+    that holds the profile (``geometry.RadialPatch``).
     """
 
-    def __init__(self, value, d1, domain, label=""):
+    def __init__(self, value, d1=None):
         self._value = value
-        self._d1 = d1
-        self.domain = (float(domain[0]), float(domain[1]))
-        self.label = label
-
-    # -- constructors -------------------------------------------------
+        self._d1 = _fd_derivative(value) if d1 is None else d1
 
     @classmethod
-    def from_callables(cls, value, d1=None, domain=(0.0, np.inf), label=""):
-        if d1 is None:
-            d1 = _fd_derivative(value)
-        return cls(value, d1, domain, label)
-
-    @classmethod
-    def constant(cls, c, domain=(0.0, np.inf), label=""):
+    def constant(cls, c):
         c = float(c)
-        return cls(lambda r: np.full_like(np.asarray(r, dtype=float), c),
-                   lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                   domain, label)
+        return cls(lambda r: np.full_like(r, c), np.zeros_like)
 
-    # -- evaluation ---------------------------------------------------
+    def value(self, r):
+        return np.asarray(self._value(np.asarray(r, dtype=float)),
+                          dtype=float)
 
-    def _check(self, r, extrapolate):
-        r = np.asarray(r, dtype=float)
-        if not extrapolate:
-            lo, hi = self.domain
-            slack = _DOMAIN_SLACK * max(1.0, abs(lo), min(hi, 1e30))
-            if np.any(r < lo - slack) or np.any(r > hi + slack):
-                raise DomainError(
-                    f"radius outside profile domain [{lo}, {hi}]"
-                    + (f" ({self.label})" if self.label else ""))
-        return r
-
-    def value(self, r, extrapolate=False):
-        r = self._check(r, extrapolate)
-        return np.asarray(self._value(r), dtype=float)
-
-    def derivative(self, r, *, extrapolate=False):
-        r = self._check(r, extrapolate)
-        return np.asarray(self._d1(r), dtype=float)
-
-    def __call__(self, r, extrapolate=False):
-        return self.value(r, extrapolate)
+    def derivative(self, r):
+        return np.asarray(self._d1(np.asarray(r, dtype=float)), dtype=float)
 
 
 def _fd_derivative(fn):
@@ -306,26 +272,26 @@ def richardson(coarse, fine, p, third_coarsest=None, ratio=2.0,
     return ConvergenceReport(coarse, fine, extrap, order, p, False, ratio)
 
 
-def limit_from_sequence(values, p=1.0, ratio=2.0):
+def limit_from_sequence(values, ratio=2.0):
     """Iterated Richardson limit of values at resolutions h, h/t, h/t^2,
-    ..., t = ``ratio``.
+    ..., t = ``ratio``, whose error starts at first order.
 
-    Each level raises the assumed order by one starting from ``p``.  Returns
+    Each level raises the assumed order by one starting from 1.  Returns
     (limit, ConvergenceReport of the last pair at the deepest level).
     """
     vals = [float(v) for v in values]
     if len(vals) < 2:
         raise ValueError("need at least two values")
     third = vals[-3] if len(vals) >= 3 else None
-    base = richardson(vals[-2], vals[-1], p, third, ratio=ratio)
+    base = richardson(vals[-2], vals[-1], 1.0, third, ratio=ratio)
     level = list(vals)
-    order = p
+    order = 1.0
     while len(level) > 1:
         level = [richardson(a, b, order, ratio=ratio).extrapolated
                  for a, b in zip(level[:-1], level[1:])]
         order += 1.0
     return level[0], ConvergenceReport(base.coarse, base.fine, level[0],
-                                       base.observed_order, p,
+                                       base.observed_order, 1.0,
                                        base.degenerate, base.ratio)
 
 
@@ -333,14 +299,18 @@ def limit_from_sequence(values, p=1.0, ratio=2.0):
 # ODE integration (classical RK4, fixed step)
 # ---------------------------------------------------------------------------
 
-def integrate_ode(rhs, y0, interval, step, max_retries=1):
+# halvings of the step tried after a non-finite state
+ODE_RETRIES = 1
+
+
+def integrate_ode(rhs, y0, interval, step):
     """Integrate y' = rhs(t, y) with classical RK4 at fixed step.
 
     Returns (t_samples, y_samples): the n + 1 abscissae of the uniform
     steps and the state at each, shaped (n + 1, len(y0)).  On a
-    non-finite state the whole integration is retried once with the step
-    halved; if that also fails, an IntegrationDivergedError carrying the
-    last good abscissa is raised.
+    non-finite state the whole integration is retried ODE_RETRIES times,
+    each with the step halved; if that also fails, an
+    IntegrationDivergedError carrying the last good abscissa is raised.
     """
     t0, t1 = float(interval[0]), float(interval[1])
     if step <= 0:
@@ -349,7 +319,7 @@ def integrate_ode(rhs, y0, interval, step, max_retries=1):
 
     h_try = float(step)
     last_good = t0
-    for attempt in range(max_retries + 1):
+    for attempt in range(ODE_RETRIES + 1):
         n = max(1, int(np.ceil((t1 - t0) / h_try)))
         h = (t1 - t0) / n
         ts = np.empty(n + 1)

@@ -16,8 +16,7 @@ from cornermass.numgrid import ScalarProfile
 import oracles
 
 
-def zero(dom):
-    return ScalarProfile.constant(0.0, dom)
+ZERO = ScalarProfile.constant(0.0)
 
 
 class TestShiTamExtend:
@@ -142,10 +141,10 @@ class TestCertificates:
 
 
 def _self_glue():
-    inner = RadialPatch(schwarzschild_metric_profile(1.0, 2.5, 5.0),
-                        zero((2.5, 5)), zero((2.5, 5)), 2.5, 5.0)
-    outer = RadialPatch(schwarzschild_metric_profile(1.0, 5.0, 50.0),
-                        zero((5, 50)), zero((5, 50)), 5.0, 50.0)
+    inner = RadialPatch(schwarzschild_metric_profile(1.0, 2.5),
+                        ZERO, ZERO, 2.5, 5.0)
+    outer = RadialPatch(schwarzschild_metric_profile(1.0, 5.0),
+                        ZERO, ZERO, 5.0, 50.0)
     return glue(inner, outer, 5.0)
 
 
@@ -170,10 +169,9 @@ class TestMollify:
         assert max(r.sup_k for r in rep.records) <= 1.0 + 1e-12
 
     def test_f_jump_negative_control(self):
-        inner = RadialPatch(flat_metric_profile(1.0), zero((0, 1)),
-                            zero((0, 1)), 0.0, 1.0)
-        outer = RadialPatch(ScalarProfile.constant(1.5, (1, 20)),
-                            zero((1, 20)), zero((1, 20)), 1.0, 20.0)
+        inner = RadialPatch(flat_metric_profile(), ZERO, ZERO, 0.0, 1.0)
+        outer = RadialPatch(ScalarProfile.constant(1.5),
+                            ZERO, ZERO, 1.0, 20.0)
         ds = glue(inner, outer, 1.0, allow_discontinuous_f=True,
                   asymptotically_flat=False)
         collar, rep = mollify_corner(ds, 0, 0.2)

@@ -16,31 +16,28 @@ from cornermass.numgrid import ScalarProfile
 import oracles
 
 
-def zero(dom):
-    return ScalarProfile.constant(0.0, dom)
+ZERO = ScalarProfile.constant(0.0)
 
 
-def const(c, dom):
-    return ScalarProfile.constant(c, dom)
+def const(c):
+    return ScalarProfile.constant(c)
 
 
 @pytest.fixture
 def flat_patch():
-    return RadialPatch(flat_metric_profile(20.0), zero((0, 20)),
-                       zero((0, 20)), 0.0, 20.0)
+    return RadialPatch(flat_metric_profile(), ZERO, ZERO, 0.0, 20.0)
 
 
 @pytest.fixture
 def schwarzschild_patch():
-    return RadialPatch(schwarzschild_metric_profile(1.0, 2.5, 50.0),
-                       zero((2.5, 50)), zero((2.5, 50)), 2.5, 50.0)
+    return RadialPatch(schwarzschild_metric_profile(1.0, 2.5),
+                       ZERO, ZERO, 2.5, 50.0)
 
 
 @pytest.fixture
 def hyperbolic_patch():
-    dom = (0.0, 1.0)
-    return RadialPatch(hyperbolic_metric_profile(1.0), const(1.0, dom),
-                       const(1.0, dom), 0.0, 1.0)
+    return RadialPatch(hyperbolic_metric_profile(), const(1.0),
+                       const(1.0), 0.0, 1.0)
 
 
 class TestScalarCurvature:
@@ -82,8 +79,8 @@ class TestMeanCurvature:
             pytest.approx(2.0 * np.sqrt(2.0), abs=1e-14)
 
     def test_negmass_matches_hyperbolic(self):
-        outer = RadialPatch(schwarzschild_metric_profile(-0.5, 1.0, 50.0),
-                            zero((1, 50)), zero((1, 50)), 1.0, 50.0)
+        outer = RadialPatch(schwarzschild_metric_profile(-0.5, 1.0),
+                            ZERO, ZERO, 1.0, 50.0)
         assert mean_curvature_sphere(outer, 1.0) == \
             pytest.approx(2.0 * np.sqrt(2.0), abs=1e-14)
 
@@ -94,8 +91,8 @@ class TestMeanCurvature:
         s = 1.4
         psi = 1.0 + m / (2 * s)
         r_areal = s * psi * psi
-        patch = RadialPatch(schwarzschild_metric_profile(m, 2.2, 50.0),
-                            zero((2.2, 50)), zero((2.2, 50)), 2.2, 50.0)
+        patch = RadialPatch(schwarzschild_metric_profile(m, 2.2),
+                            ZERO, ZERO, 2.2, 50.0)
         h_areal = mean_curvature_sphere(patch, r_areal)
         h_iso = (2.0 / (s * psi**2)) * (1 - m / (2 * s)) / psi
         assert h_areal == pytest.approx(h_iso, rel=1e-12)
@@ -114,15 +111,11 @@ class TestConstraints:
     def test_divergence_oracle_random_smooth(self):
         rng = np.random.RandomState(3)
         c1, c2, c3 = rng.uniform(-0.2, 0.2, 3)
-        dom = (0.5, 6.0)
-        f = ScalarProfile.from_callables(
-            lambda r: 1.0 + c1 * np.exp(-((r - 2.5) / 1.2) ** 2),
-            domain=dom)
-        a = ScalarProfile.from_callables(
-            lambda r: c2 * np.sin(r), domain=dom)
-        b = ScalarProfile.from_callables(
-            lambda r: c3 / (1.0 + r * r), domain=dom)
-        patch = RadialPatch(f, a, b, *dom)
+        f = ScalarProfile(
+            lambda r: 1.0 + c1 * np.exp(-((r - 2.5) / 1.2) ** 2))
+        a = ScalarProfile(lambda r: c2 * np.sin(r))
+        b = ScalarProfile(lambda r: c3 / (1.0 + r * r))
+        patch = RadialPatch(f, a, b, 0.5, 6.0)
         for point in ([1.2, 0.5, 1.0], [0.0, 0.0, 3.0], [2.0, -1.0, 0.5]):
             x = np.array(point, dtype=float)
             J_cart = oracles.momentum_density_cartesian(patch, x)
@@ -134,15 +127,11 @@ class TestConstraints:
             assert got == pytest.approx(want, abs=1e-4)
 
     def test_mu_identity_cartesian(self):
-        dom = (0.5, 6.0)
-        f = ScalarProfile.from_callables(
-            lambda r: 1.0 + 0.15 * np.exp(-((r - 2.0) / 1.5) ** 2),
-            domain=dom)
-        a = ScalarProfile.from_callables(lambda r: 0.1 * np.cos(r),
-                                         domain=dom)
-        b = ScalarProfile.from_callables(lambda r: 0.05 * r / (1 + r),
-                                         domain=dom)
-        patch = RadialPatch(f, a, b, *dom)
+        f = ScalarProfile(
+            lambda r: 1.0 + 0.15 * np.exp(-((r - 2.0) / 1.5) ** 2))
+        a = ScalarProfile(lambda r: 0.1 * np.cos(r))
+        b = ScalarProfile(lambda r: 0.05 * r / (1 + r))
+        patch = RadialPatch(f, a, b, 0.5, 6.0)
         x = np.array([1.0, 1.0, 1.5])
         r = float(np.linalg.norm(x))
         R_cart = oracles.scalar_curvature_cartesian(patch, x)
@@ -162,9 +151,8 @@ class TestMomentumTensor:
         assert m.pi_nn == m.pi_tan == m.tr_k == m.tr_sigma_k == 0.0
 
     def test_radial_only(self):
-        dom = (0.5, 3.0)
-        patch = RadialPatch(flat_metric_profile(3.0), const(3.0, dom),
-                            zero(dom), 0.5, 3.0)
+        patch = RadialPatch(flat_metric_profile(), const(3.0),
+                            ZERO, 0.5, 3.0)
         m = momentum_tensor(patch, 1.0)
         assert m.tr_k == pytest.approx(3.0)
         assert m.pi_nn == pytest.approx(0.0)
@@ -174,9 +162,8 @@ class TestMomentumTensor:
         rng = np.random.RandomState(11)
         for _ in range(50):
             a, b = rng.uniform(-2, 2, 2)
-            dom = (0.5, 3.0)
-            patch = RadialPatch(flat_metric_profile(3.0), const(a, dom),
-                                const(b, dom), 0.5, 3.0)
+            patch = RadialPatch(flat_metric_profile(), const(a),
+                                const(b), 0.5, 3.0)
             m = momentum_tensor(patch, 1.7)
             assert m.pi_nn + m.tr_sigma_k == pytest.approx(0.0, abs=1e-14)
 
@@ -189,9 +176,8 @@ class TestNullExpansions:
         assert not ne.weakly_outer_trapped
 
     def test_trapped(self):
-        dom = (0.5, 3.0)
-        patch = RadialPatch(flat_metric_profile(3.0), zero(dom),
-                            const(-2.0, dom), 0.5, 3.0)
+        patch = RadialPatch(flat_metric_profile(), ZERO,
+                            const(-2.0), 0.5, 3.0)
         ne = null_expansions(patch, 1.0)
         assert ne.theta_plus == pytest.approx(-2.0)
         assert ne.weakly_outer_trapped
@@ -209,13 +195,10 @@ class TestDecCheck:
         assert abs(rep.min_margin) < 1e-10
 
     def test_ad_hoc_matches_oracle(self):
-        dom = (0.5, 4.0)
         patch = RadialPatch(
-            flat_metric_profile(4.0), zero(dom),
-            ScalarProfile.from_callables(lambda r: np.asarray(r, float),
-                                         lambda r: np.ones_like(
-                                             np.asarray(r, float)),
-                                         dom),
+            flat_metric_profile(), ZERO,
+            ScalarProfile(lambda r: np.asarray(r, float),
+                          lambda r: np.ones_like(np.asarray(r, float))),
             0.5, 4.0)
         rep = dec_check(patch, samples=64)
         r = rep.radius_of_min
@@ -255,10 +238,10 @@ class TestDecMarginsOnArrays:
 class TestCenterRegularity:
     def test_bad_center_rejected(self):
         with pytest.raises(ValueError):
-            RadialPatch(schwarzschild_metric_profile(-0.5, 0.0, 5.0),
-                        zero((0, 5)), zero((0, 5)), 0.0, 5.0)
+            RadialPatch(schwarzschild_metric_profile(-0.5, 0.0),
+                        ZERO, ZERO, 0.0, 5.0)
 
     def test_nonpositive_f_rejected(self):
         with pytest.raises(ValueError):
-            RadialPatch(ScalarProfile.constant(-1.0, (1, 2)),
-                        zero((1, 2)), zero((1, 2)), 1.0, 2.0)
+            RadialPatch(ScalarProfile.constant(-1.0),
+                        ZERO, ZERO, 1.0, 2.0)

@@ -17,8 +17,7 @@ from cornermass.numgrid import ScalarProfile
 ADM_RADII = [50.0, 100.0, 200.0]
 
 
-def zero(dom):
-    return ScalarProfile.constant(0.0, dom)
+ZERO = ScalarProfile.constant(0.0)
 
 
 @pytest.fixture(scope="module")
@@ -190,12 +189,11 @@ class TestSolver:
         # the sign of K (the inverse Laplacian of -K|grad u| is positive
         # for positive K)
         for kappa in (+0.4, -0.4):
-            dom = (0.0, 260.0)
-            b = ScalarProfile.from_callables(
+            b = ScalarProfile(
                 lambda r, k=kappa: np.where(
                     (np.asarray(r) >= 1.5) & (np.asarray(r) <= 2.0),
-                    k / 3.0, 0.0), domain=dom)
-            patch = RadialPatch(flat_metric_profile(260.0), b, b, 0.0, 260.0)
+                    k / 3.0, 0.0))
+            patch = RadialPatch(flat_metric_profile(), b, b, 0.0, 260.0)
             data = scenario_build("custom", patches=[patch],
                                   label="flat_shell")
             fld = solve_spacetime_harmonic(data, n_r=32, n_theta=32, L=12.0)
@@ -222,13 +220,13 @@ class TestSolver:
         # K = 0 and constant inner data 0: the problem is odd-symmetric
         assert np.max(np.abs(up.values + dn.values)) <= 1e-7
 
-    def test_picard_stagnation_reports_history(self):
+    def test_picard_stagnation_reports_history(self, monkeypatch):
         from cornermass.errors import PicardStagnationError
+        from cornermass.harmonic import solver
+        monkeypatch.setattr(solver, "MAX_PICARD", 3)
         data = scenario_build("hyperbolic_negschw")
         with pytest.raises(PicardStagnationError) as exc:
-            solve_spacetime_harmonic(
-                data, n_r=24, n_theta=24, L=15.0,
-                options=SolveOptions(max_picard=3))
+            solve_spacetime_harmonic(data, n_r=24, n_theta=24, L=15.0)
         assert len(exc.value.history) == 3
 
 
@@ -263,10 +261,8 @@ class TestHessian:
 
     def test_flat_k_cg_norm(self):
         c_amp = 0.7
-        dom = (0.0, 260.0)
-        patch = RadialPatch(flat_metric_profile(260.0),
-                            ScalarProfile.constant(c_amp, dom),
-                            ScalarProfile.constant(c_amp, dom), 0.0, 260.0)
+        k = ScalarProfile.constant(c_amp)
+        patch = RadialPatch(flat_metric_profile(), k, k, 0.0, 260.0)
         data = scenario_build("custom", patches=[patch], label="flat_kcg")
         grid = build_solver_grid(data, 24, 24, 10.0)
         coeffs = build_coefficients(data, grid)
@@ -714,10 +710,8 @@ class TestIntegralFormula:
 
     def test_flat_k_injection_shifts_consistently(self):
         c_amp = 0.3
-        dom = (0.0, 260.0)
-        patch = RadialPatch(flat_metric_profile(260.0),
-                            ScalarProfile.constant(c_amp, dom),
-                            ScalarProfile.constant(c_amp, dom), 0.0, 260.0)
+        k = ScalarProfile.constant(c_amp)
+        patch = RadialPatch(flat_metric_profile(), k, k, 0.0, 260.0)
         data = scenario_build("custom", patches=[patch], label="flat_kcg")
         grid = build_solver_grid(data, 48, 48, 20.0)
         coeffs = build_coefficients(data, grid)

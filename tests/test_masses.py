@@ -74,10 +74,9 @@ class TestAdm:
         from cornermass.corner import scenario_build as sb
         from cornermass.geometry import RadialPatch
         from cornermass.numgrid import ScalarProfile
-        f = ScalarProfile.from_callables(
-            lambda r: 1.0 + np.cos(np.asarray(r) / 7.0) / np.asarray(r),
-            domain=(1.0, 300.0))
-        zero = ScalarProfile.constant(0.0, (1.0, 300.0))
+        f = ScalarProfile(
+            lambda r: 1.0 + np.cos(np.asarray(r) / 7.0) / np.asarray(r))
+        zero = ScalarProfile.constant(0.0)
         patch = RadialPatch(f, zero, zero, 1.0, 300.0)
         ds = sb("custom", patches=[patch], label="wiggly")
         adm = adm_energy_momentum(ds, [40.0, 80.0, 160.0])
