@@ -30,7 +30,6 @@ and ``run.n_theta`` by MAX_GRID, ``run.samples`` and the count of
 
 from __future__ import annotations
 
-import csv as _csv
 import dataclasses
 import gc
 import json
@@ -48,6 +47,7 @@ from .errors import (ConfigError, CornerMassError, DomainError,
                      HypothesisError, IntegrationDivergedError,
                      PicardStagnationError, SingularFactorError)
 from . import corner, extension, geometry, masses
+from .numgrid import write_csv as _write_csv
 from .harmonic import (SolveOptions, build_solver_grid, mass_bound_sweep,
                        solve_spacetime_harmonic)
 
@@ -173,9 +173,12 @@ def _scenario_from_config(cfg):
                                                 str(exc))]
         raise ConfigError(str(exc), field="scenario." + named[0]
                           if named else "scenario")
-    topo = _get(cfg, "run.topology_trivial")
-    if topo is not None and bool(topo) != data.topology_trivial:
-        data = dataclasses.replace(data, topology_trivial=bool(topo))
+    topo = _get(cfg, "run.topology_trivial", data.topology_trivial)
+    if not isinstance(topo, bool):
+        raise ConfigError(f"run.topology_trivial must be true or false, "
+                          f"not {topo!r}", field="run.topology_trivial")
+    if topo != data.topology_trivial:
+        data = dataclasses.replace(data, topology_trivial=topo)
     return data
 
 
@@ -276,14 +279,6 @@ def emit(envelope, out_path):
         Path(out_path).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        wr = _csv.writer(fh)
-        wr.writerow(header)
-        for row in rows:
-            wr.writerow([repr(float(v)) for v in row])
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +427,8 @@ def cmd_quasilocal(cfg, args):
         verdicts["comparison_ok"] = comp.all_ok
     if args.csv and pipe is not None:
         ext = pipe.extension
-        _write_csv(args.csv, ["r", "f", "Q"],
-                   zip(ext.radii, ext.f_samples, ext.q_samples))
+        _write_csv(args.csv, ("r", "f", "Q"),
+                   (ext.radii, ext.f_samples, ext.q_samples))
     ok = all(v for k, v in verdicts.items()
              if k in ("W_nonnegative", "chain_W_ge_E_ext", "comparison_ok"))
     return reports, verdicts, (0 if ok else 1)
@@ -470,9 +465,9 @@ def cmd_certificate(cfg, args):
     reports = {"certificates": rows, "n_certified": n_cert,
                "threshold_H_minus_f": 2.0 / r0}
     if args.csv:
-        _write_csv(args.csv, ["h_eff", "E_ext", "certified"],
-                   [(v.H - v.bartnik_f, v.E_ext, float(v.certified))
-                    for v in rows])
+        _write_csv(args.csv, ("h_eff", "E_ext", "certified"),
+                   ([v.H - v.bartnik_f for v in rows], [v.E_ext for v in rows],
+                    [v.certified for v in rows]))
     return reports, {"any_certified": n_cert > 0}, 0
 
 

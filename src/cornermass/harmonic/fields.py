@@ -41,7 +41,7 @@ import numpy as np
 
 from ..corner import GluedDataSet, areal_sigma
 from ..geometry import constraint_densities
-from ..numgrid import AxisymGrid, stencil_d1, stencil_d2
+from ..numgrid import AxisymGrid, stencil_d1, stencil_d2, write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -405,16 +405,11 @@ class AxisymField:
     def to_csv(self, path):
         """CSV export (r, theta, u, |grad u|), one row per node; r is the
         areal radius of the node."""
-        gn = self.grad_norm_plain()
-        theta = [repr(t) for t in self.grid.theta.tolist()]
-        # the csv module's bytes: repr of each float, \r\n line ends
-        with open(path, "w", newline="") as fh:
-            fh.write("r,theta,u,grad_norm\r\n")
-            for r, u_ring, g_ring in zip(self.coeffs.rho.tolist(),
-                                         self.values, gn):
-                r = repr(r)
-                fh.writelines(f"{r},{t},{u!r},{g!r}\r\n" for t, u, g
-                              in zip(theta, u_ring.tolist(), g_ring.tolist()))
+        shape = self.values.shape
+        write_csv(path, ("r", "theta", "u", "grad_norm"), (
+            np.broadcast_to(self.coeffs.rho[:, None], shape),
+            np.broadcast_to(self.grid.theta, shape), self.values,
+            self.grad_norm_plain()))
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Deterministic numerical kernel: radial profiles, axisymmetric grids,
 quadrature, an explicit ODE integrator, a direct elliptic solve by
-separation of variables and Richardson extrapolation.
+separation of variables, Richardson extrapolation and the CSV writer of
+every exported curve and field.
 
 Everything in this module is a pure function of its inputs; no randomness.
 Identical inputs produce identical outputs across runs.  Two caches hold
@@ -748,3 +749,19 @@ def solve_linear_elliptic(operator: EllipticOperator, source,
     residual = float(np.max(np.abs(operator.apply(v) - b)))
     u = v[:operator.fixed.size].reshape(operator.fixed.shape)
     return u, {"sweeps": 0, "residual": residual}
+
+
+# ---------------------------------------------------------------------------
+# CSV export
+# ---------------------------------------------------------------------------
+
+def write_csv(path, header, columns):
+    """Write equal-length float columns as CSV: the header row, then one
+    row per index, each value as the repr of its float, comma separated,
+    with CRLF line ends (the bytes of the csv module's default dialect,
+    which quotes none of these fields)."""
+    rows = zip(*(map(repr, np.asarray(c, dtype=float).ravel().tolist())
+                 for c in columns))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in rows)

@@ -519,9 +519,16 @@ class TestExitCodes:
         ("quasilocal", "[run]\nscenario = polynomial\n"
          "[scenario]\nf_inv_coeffs = inf\n[quasilocal]\nr0 = 12\n",
          "scenario.f_inv_coeffs"),
+        # bool() of any other text asserted the topology
+        ("quasilocal", "[run]\nscenario = schwarzschild\n"
+         "topology_trivial = no\n[quasilocal]\nr0 = 5\n"
+         "hull_radii = 2.6 3.0 3.5\n", "run.topology_trivial"),
+        ("constraints", "[run]\nscenario = flat\ntopology_trivial = 0\n",
+         "run.topology_trivial"),
     ], ids=["samples_2_negschw", "samples_2_shi_tam", "samples_3_negschw",
             "omega_tan", "r0_tiny", "H_huge", "r0_huge", "sweep_huge",
-            "glue_r0_huge", "glue_H_huge", "coefficient_inf"])
+            "glue_r0_huge", "glue_H_huge", "coefficient_inf", "topology_no",
+            "topology_0"])
     def test_config_error(self, tmp_path, capsys, command, text, field):
         path = write(tmp_path, "x.cfg", text)
         with pytest.raises(ConfigError) as exc:
@@ -531,6 +538,19 @@ class TestExitCodes:
         assert cli.main([command, "--config", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and field in err
+
+    @pytest.mark.parametrize("value, applicable", [("true", True),
+                                                   ("false", False)])
+    def test_topology_key_reaches_the_comparison(self, tmp_path, capsys,
+                                                 value, applicable):
+        path = write(tmp_path, "x.cfg", "[run]\nscenario = schwarzschild\n"
+                     f"topology_trivial = {value}\n[quasilocal]\nr0 = 5\n"
+                     "hull_radii = 2.6 3.0 3.5\n")
+        cli.main(["quasilocal", "--config", path, "--deterministic"])
+        comp = json.loads(capsys.readouterr().out)["reports"]["comparison"]
+        assert comp["applicable"] is applicable
+        assert ("topology assertion withheld" in comp["reasons"]) \
+            is not applicable
 
     def test_omega_tan_refused_before_any_solve(self, tmp_path, monkeypatch):
         from cornermass.harmonic import solver
@@ -661,6 +681,7 @@ class TestConfigFuzz:
             "quasilocal.side": ["auto", "minus", "plus"],
             "quasilocal.omega_tan": ["0", "0.5", "-1", "3"],
             "quasilocal.hull_radii": ["2.6 3.0 3.5", "3 4", "0.5 1"],
+            "run.topology_trivial": ["true", "false", "no"],
         },
         "certificate": {
             "certificate.r0": ["0.5", "1", "2", "10"],
@@ -745,6 +766,11 @@ class TestImportPath:
 
     def test_cli_import_skips_interpolate_and_optimize(self):
         assert self._loaded("import cornermass.cli") == []
+
+    def test_cli_import_skips_csv(self):
+        # one hand-written CSV writer (numgrid.write_csv) emits the csv
+        # module's bytes
+        assert self._loaded("import cornermass.cli", package="csv") == []
 
     def test_quasilocal_loads_no_scipy(self, tmp_path):
         write(tmp_path, "q.cfg", """
