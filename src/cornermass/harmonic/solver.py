@@ -117,11 +117,8 @@ def _assemble_operator(coeffs: GridCoefficients,
     wgt_x = 0.5 * (x[2:] - x[:-2])
     an = Ce / ((x[2:] - x[1:-1]) * wgt_x)
     as_ = Cw / ((x[1:-1] - x[:-2]) * wgt_x)
-    J = np.arange(M1 - 2)
-    angular = np.zeros((M1 - 2, M1))
-    angular[J, J] = as_
-    angular[J, J + 1] = -(an + as_)
-    angular[J, J + 2] = an
+    # its west, centre and east diagonals
+    angular = np.array([as_, -(an + as_), an])
 
     plus = coeffs.side("plus")
     for (lo, hi) in coeffs.segments:

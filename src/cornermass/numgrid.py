@@ -503,13 +503,16 @@ class EllipticOperator:
 
     * at a fixed node, the identity (the Dirichlet value);
     * at the interior columns j = 1..M-1 of a free ring i,
-      sum_o radial[i, o + 2] u[i + o, j] + ring_scale[i] (angular @ u[i])
-      [j - 1], plus coupling * c on ring 0 with centre = (coupling, w0, w1);
+      sum_o radial[i, o + 2] u[i + o, j] + ring_scale[i] (west u[i, j-1]
+      + centre u[i, j] + east u[i, j+1]) with (west, centre, east) =
+      angular[:, j - 1], plus coupling * c on ring 0 with centre =
+      (coupling, w0, w1);
     * at the axis columns of a free ring, u[i, 0] - axis_weights[0] .
       u[i, 1:4] and u[i, M] - axis_weights[1] . u[i, M-3:M];
     * the centre row, c + w0 . u[0] + w1 . u[1].
 
-    ``radial`` is (N, 5), ``angular`` (M-1, M+1).  The right-hand side
+    ``radial`` is (N, 5), ``angular`` (3, M-1): the three diagonals of
+    the (M-1) x (M+1) angular matrix.  The right-hand side
     holds the source at ``source_rows``, the Dirichlet value at the fixed
     nodes and zero elsewhere (``rhs``).
 
@@ -571,7 +574,10 @@ class EllipticOperator:
         # radial plus angular rows on every ring, kept on the free ones
         pad = np.zeros((N + 4, u.shape[1] - 2))
         pad[2:-2] = u[:, 1:-1]
-        rows = self.ring_scale[:, None] * (u @ self.angular.T)
+        west, centre, east = self.angular
+        rows = self.ring_scale[:, None] * (west * u[:, :-2]
+                                           + centre * u[:, 1:-1]
+                                           + east * u[:, 2:])
         for o in range(5):
             rows += self.radial[:, o, None] * pad[o:o + N]
         Au[free, 1:-1] = rows[free]
@@ -615,7 +621,12 @@ class EllipticOperator:
         """The (M-1, M-1) angular matrix (or the rows X, M+1 long) on the
         interior columns, with the axis rows eliminated (each axis value
         is the extrapolation of the next three columns)."""
-        X, (w_n, w_s) = self.angular if X is None else X, self.axis_weights
+        if X is None:
+            K = self.angular.shape[1]
+            J = np.arange(K)
+            X = np.zeros((K, K + 2))
+            X[J, J], X[J, J + 1], X[J, J + 2] = self.angular
+        w_n, w_s = self.axis_weights
         Xr = X[..., 1:-1].copy()
         Xr[..., :3] += X[..., :1] * w_n
         Xr[..., -3:] += X[..., -1:] * w_s
@@ -648,7 +659,8 @@ class EllipticOperator:
     def solve(self, b):
         """The v with A v = b for a b that is zero at the fixed nodes (the
         right-hand side of a correction), by the factor: the axis rows' b
-        through the angular matrix's two outer columns, V^-1 along the
+        through the angular matrix's two corner entries (the first row's
+        west and the last row's east coefficient), V^-1 along the
         angular index, one banded solve per mode, the centre by
         bordering, V back.  The fixed nodes of v are zero."""
         f = self.factor()
@@ -658,9 +670,10 @@ class EllipticOperator:
         v = np.zeros(self.n_unknowns)
         u = v[:self.fixed.size].reshape(shape)
         u[free, 0], u[free, -1] = nodes[free, 0], nodes[free, -1]
-        X = self.angular
-        rhs = nodes[free, 1:-1] - self.ring_scale[free, None] * (
-            u[free, 0, None] * X[:, 0] + u[free, -1, None] * X[:, -1])
+        g = self.ring_scale[free]
+        rhs = nodes[free, 1:-1].copy()
+        rhs[:, 0] -= g * (u[free, 0] * self.angular[0, 0])
+        rhs[:, -1] -= g * (u[free, -1] * self.angular[2, -1])
         w = band_solve(f.band, f.lower2, f.upper2, rhs @ f.Vinv.T)
         if self.centre is not None:
             _, w0, w1 = self.centre

@@ -857,14 +857,18 @@ truncation = 10.0
         assert csvs[0] == csvs[1] and csvs[0].count(b"\n") == 1 + 25 * 25
 
 
-    def test_k_zero_report_independent_of_blas_threads(self, tmp_path):
+    @pytest.mark.parametrize("resolutions", ["32 64 128", "128 256 384"])
+    def test_k_zero_report_independent_of_blas_threads(self, tmp_path,
+                                                       resolutions):
         # K = 0 data solve no product whose rounding follows the BLAS
-        # thread count, so the bench's schwarzschild report is the same
-        # bytes at one and at two threads
-        cfgp = write(tmp_path, "s.cfg", """
+        # thread count, and the residual's angular part is three shifted
+        # products, so the bench's schwarzschild report, and the same
+        # data on grids up to 384, are the same bytes at one and at two
+        # threads
+        cfgp = write(tmp_path, "s.cfg", f"""
 [run]
 scenario = schwarzschild
-resolutions = 32 64 128
+resolutions = {resolutions}
 truncation = 40
 [scenario]
 m = 1.0
