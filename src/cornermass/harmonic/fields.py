@@ -405,11 +405,9 @@ class AxisymField:
     def to_csv(self, path):
         """CSV export (r, theta, u, |grad u|), one row per node; r is the
         areal radius of the node."""
-        shape = self.values.shape
-        write_csv(path, ("r", "theta", "u", "grad_norm"), (
-            np.broadcast_to(self.coeffs.rho[:, None], shape),
-            np.broadcast_to(self.grid.theta, shape), self.values,
-            self.grad_norm_plain()))
+        write_csv(path, ("r", "theta", "u", "grad_norm"),
+                  (self.coeffs.rho[:, None], self.grid.theta, self.values,
+                   self.grad_norm_plain()))
 
 
 @dataclass

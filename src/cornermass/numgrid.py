@@ -769,12 +769,19 @@ def solve_linear_elliptic(operator: EllipticOperator, source,
 # ---------------------------------------------------------------------------
 
 def write_csv(path, header, columns):
-    """Write equal-length float columns as CSV: the header row, then one
-    row per index, each value as the repr of its float, comma separated,
-    with CRLF line ends (the bytes of the csv module's default dialect,
-    which quotes none of these fields)."""
-    rows = zip(*(map(repr, np.asarray(c, dtype=float).ravel().tolist())
-                 for c in columns))
+    """Write float columns as CSV: the header row, then one row per
+    element of the columns broadcast to one shape (in C order), each
+    value as the repr of its float, comma separated, with CRLF line ends
+    (the bytes of the csv module's default dialect, which quotes none of
+    these fields).  A column is formatted before it is broadcast, so a
+    value repeated along an axis is formatted once."""
+    def reprs(c):
+        a = np.asarray(c, dtype=float)
+        return np.array(list(map(repr, a.ravel().tolist())),
+                        dtype=object).reshape(a.shape)
+
+    rows = zip(*(s.ravel().tolist() for s in
+                 np.broadcast_arrays(*map(reprs, columns))))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(",".join(row) + "\r\n" for row in rows)
