@@ -158,15 +158,15 @@ class GluedDataSet:
 # Gluing
 # ---------------------------------------------------------------------------
 
-def interface_from_patches(inner: RadialPatch, outer: RadialPatch, r_c,
-                           omega_minus_tan=0.0, omega_plus_tan=0.0):
+def interface_from_patches(inner: RadialPatch, outer: RadialPatch, r_c):
+    """The corner r = r_c between two rotationally symmetric patches,
+    whose momentum one-forms have no tangential part."""
     h_m = mean_curvature_sphere(inner, r_c)
     h_p = mean_curvature_sphere(outer, r_c)
     pm = momentum_tensor(inner, r_c)
     pp = momentum_tensor(outer, r_c)
     return CornerInterface(float(r_c), float(h_m), float(h_p),
-                           (pm.pi_nn, float(omega_minus_tan)),
-                           (pp.pi_nn, float(omega_plus_tan)))
+                           (pm.pi_nn, 0.0), (pp.pi_nn, 0.0))
 
 
 def glue(inner: RadialPatch, outer: RadialPatch, r_c, *,
@@ -363,17 +363,11 @@ def _polynomial(f_inv_coeffs=(), a_inv_coeffs=(), b_inv_coeffs=(),
 
 
 @register_scenario("custom")
-def _custom(patches, interfaces=None, label="custom", has_center=None,
-            expectations=None, asymptotically_flat=True):
+def _custom(patches, label="custom"):
+    """Adjacent patches glued at every shared radius, with a smooth centre
+    when the first starts at r = 0."""
     patches = tuple(patches)
-    if interfaces is None:
-        interfaces = tuple(
-            interface_from_patches(p, q, p.r_out)
-            for p, q in zip(patches[:-1], patches[1:]))
-    return GluedDataSet(
-        patches=patches, interfaces=tuple(interfaces), name=label,
-        expectations=dict(expectations or {}),
-        has_center=(patches[0].r_in == 0.0 if has_center is None
-                    else has_center),
-        asymptotically_flat=asymptotically_flat)
-
+    interfaces = tuple(interface_from_patches(p, q, p.r_out)
+                       for p, q in zip(patches[:-1], patches[1:]))
+    return GluedDataSet(patches=patches, interfaces=interfaces, name=label,
+                        has_center=patches[0].r_in == 0.0)

@@ -73,8 +73,8 @@ def shi_tam_extend(r0, H_eff) -> ExtensionResult:
 
     The profile is the closed form f = 1 - c/r, c = (1 - f0) r0, with its
     analytic derivative; f and Q are sampled at EXTEND_STEPS + 1 radii
-    uniform in s = log(r/r0) out to EXTEND_SPAN * r0.  H_eff is H - |omega| for the
-    quasilocal pipeline and H - f for certificates.
+    uniform in s = log(r/r0) out to EXTEND_SPAN * r0.  H_eff is
+    H - |omega| for the quasilocal pipeline and H - f for certificates.
     """
     if r0 <= 0:
         raise HypothesisError("boundary radius must be positive")
@@ -354,9 +354,9 @@ def conformal_deform(data: GluedDataSet, collar: Tuple[float, float],
 
     The equation is linear, so the two-point problem is solved by one
     shooting pass: integrate v with v(r_F) = 1, v'(r_F) = 0 out to the
-    data's outer radius and rescale by the far-field limit.  The leading coefficient A is fit by least squares
-    on r (u - 1) over the last decade of radii; the mass shift is
-    m_hat = m_base + 2 A.
+    data's outer radius and rescale by the far-field limit.  The leading
+    coefficient A is fit by least squares on r (u - 1) over the last
+    decade of radii; the mass shift is m_hat = m_base + 2 A.
     """
     r_far = data.r_max
     if not (data.r_min <= r_F < collar[0]):

@@ -64,8 +64,8 @@ class RadialPatch:
 
     # -- domain -------------------------------------------------------
 
-    def contains(self, r, slack=1e-12):
-        pad = slack * max(1.0, self.r_out)
+    def contains(self, r):
+        pad = 1e-12 * max(1.0, self.r_out)
         return (self.r_in - pad) <= r <= (self.r_out + pad)
 
     def _require(self, r):

@@ -172,7 +172,7 @@ class AxisymGrid:
 _GAUSS_RULES = {}
 
 
-def gauss_x_nodes(n=64):
+def gauss_x_nodes(n):
     """Gauss-Legendre nodes/weights on x in [-1, 1] (sphere polar measure),
     nodes decreasing from the north pole.  Each rule is built on first use
     and cached; the caller gets its own copies."""
