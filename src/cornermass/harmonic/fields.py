@@ -106,6 +106,18 @@ def build_solver_grid(data: GluedDataSet, n_r, n_theta, L,
     return AxisymGrid.build(np.concatenate(nodes), n_theta)
 
 
+def centre_weights(grid: AxisymGrid):
+    """(w0, w1): the value at r = 0 of a field even in r is
+    w0 . u[0] + w1 . u[1], the x-averages of rings 0 and 1 extrapolated
+    linearly in r^2 (the solver's centre row and the ball's axis both
+    read it)."""
+    wm = grid.x_weights()
+    wm = wm / np.sum(wm)
+    r1, r2 = grid.r[0], grid.r[1]
+    den = r2 * r2 - r1 * r1
+    return (r2 * r2 / den) * wm, -(r1 * r1 / den) * wm
+
+
 # ---------------------------------------------------------------------------
 # Finite-difference machinery
 # ---------------------------------------------------------------------------
@@ -452,8 +464,7 @@ def _side_hessian(field: AxisymField, side):
     return dict(rr=t_rr, rt=t_rt, tt=t_tt, pp=t_pp), full, gn, norm_sq
 
 
-def spacetime_hessian(field: AxisymField,
-                      data: GluedDataSet = None) -> SpacetimeHessianField:
+def spacetime_hessian(field: AxisymField) -> SpacetimeHessianField:
     """Covariant Hessian plus |grad u| k, contracted square included.
 
     The construction identity full - pure = |grad u| k holds node-wise by

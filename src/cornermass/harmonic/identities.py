@@ -36,10 +36,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..corner import GluedDataSet
 from ..errors import DomainError
 from ..numgrid import gauss_x_nodes
-from .fields import AxisymField, spacetime_hessian
+from .fields import AxisymField, centre_weights, spacetime_hessian
 
 # Gauss-Legendre nodes of the closure route of the sphere identity
 N_QUAD = 96
@@ -92,9 +91,10 @@ def _sphere_samples_from_grid(field, i, side):
     return u_r, d["u_x"][i], u_rr, u_rx, d["u_xx"][i]
 
 
-def boundary_formula_check(data: GluedDataSet, field: AxisymField, r_c,
+def boundary_formula_check(field: AxisymField, r_c,
                            side="minus") -> BoundaryFormulaReport:
-    """Compare both sides of the sphere identity at r = r_c, term by term.
+    """Compare both sides of the sphere identity at r = r_c, term by term,
+    on the field's own data (``field.coeffs.data``).
 
     With analytic closures attached to the field the integrands are
     evaluated on a Gauss grid in x (quadrature-exact for smooth data);
@@ -108,6 +108,7 @@ def boundary_formula_check(data: GluedDataSet, field: AxisymField, r_c,
         x, w = gauss_x_nodes(N_QUAD)
         u_r, u_x, u_rr, u_rx, u_xx = _sphere_samples_from_closures(
             field, r_c, x)
+        data = field.coeffs.data
         patch = data.patch_at(r_c, side if data.is_corner(r_c) else "auto")
         f = float(patch.fv(r_c))
         fp = float(patch.fp(r_c))
@@ -225,10 +226,11 @@ class IntegralFormulaReport:
         return self.lhs + self.defect <= self.rhs + tol
 
 
-def integral_formula_check(data: GluedDataSet, field: AxisymField,
+def integral_formula_check(field: AxisymField,
                            region: Tuple[Optional[float], float]
                            ) -> IntegralFormulaReport:
-    """Bulk integral vs boundary + level-set terms on a radial region.
+    """Bulk integral vs boundary + level-set terms on a radial region of
+    the field's own data (``field.coeffs.data``).
 
     ``region`` is (r_lo, r_hi) with r_lo = None meaning a full ball; both
     radii must be grid nodes inside one smooth patch.  The level-set term
@@ -245,7 +247,7 @@ def integral_formula_check(data: GluedDataSet, field: AxisymField,
     i_lo = 0 if r_lo is None else int(np.argmin(np.abs(r - r_lo)))
     if abs(r[i_hi] - r_hi) > 1e-9 * max(1.0, r_hi):
         raise DomainError("region radii must be grid nodes")
-    for rc in data.corner_radii:
+    for rc in c.data.corner_radii:
         if (r_lo or r[0]) < rc < r_hi:
             raise DomainError("region must lie within one smooth patch")
 
@@ -312,11 +314,8 @@ def integral_formula_check(data: GluedDataSet, field: AxisymField,
     if ball:
         # the axis continues to r = 0; levels between the centre value and
         # the innermost ring cross there
-        wm = w_x / np.sum(w_x)
-        s1 = float(wm @ field.values[0])
-        s2 = float(wm @ field.values[1])
-        r1, r2 = r[0], r[1]
-        u_c = (s1 * r2 * r2 - s2 * r1 * r1) / (r2 * r2 - r1 * r1)
+        w0, w1 = centre_weights(grid)
+        u_c = float(w0 @ field.values[0] + w1 @ field.values[1])
         axis_n = np.concatenate([[u_c], axis_n])
         axis_s = np.concatenate([[u_c], axis_s])
     excluded_bins = []

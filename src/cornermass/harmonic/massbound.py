@@ -168,18 +168,18 @@ def _corner_integral(field: AxisymField):
     return total, tuple(jumps), violated
 
 
-def mass_bound_report(data: GluedDataSet, field: AxisymField, adm: AdmResult,
-                      direction: int = +1) -> MassBoundReport:
-    """Assemble the report for one solved field; ``mass_bound_sweep``
-    adds the grid convergence.
+def mass_bound_report(field: AxisymField, adm: AdmResult) -> MassBoundReport:
+    """Assemble the report for one solved field, read against the data
+    (``field.coeffs.data``) and the asymptote direction
+    (``field.diagnostics["direction"]``) it was solved for;
+    ``mass_bound_sweep`` adds the grid convergence.
 
     The delta sequence {delta, delta/2, delta/4} re-integrates the bulk
     with the frozen field (the K = 0 scenarios are exactly
     delta-independent at the solve level; re-solving per delta is the
     sweep driver's job) and extrapolates the slack.
     """
-    if field.diagnostics.get("direction", 1.0) != float(direction):
-        raise ValueError("field was solved for a different asymptote")
+    direction = int(field.diagnostics["direction"])
     pz = adm.P[2]
     lhs = 16.0 * np.pi * (adm.E + direction * pz)
     corner, jumps, violated = _corner_integral(field)
@@ -197,7 +197,7 @@ def mass_bound_report(data: GluedDataSet, field: AxisymField, adm: AdmResult,
     # truncation bias scale: the flux integral still moves by this much
     # between the solver truncation and infinity
     trunc = field.diagnostics.get("truncation", adm.flux_samples[-1][0])
-    outer_patch = data.patches[-1]
+    outer_patch = field.coeffs.data.patches[-1]
     if outer_patch.contains(trunc):
         phi = 1.0 / float(outer_patch.fv(trunc)) - 1.0
         e_at_l = 0.5 * trunc * phi
@@ -240,7 +240,7 @@ def mass_bound_sweep(data: GluedDataSet, adm: AdmResult, *,
         fld = solve_spacetime_harmonic(
             data, n_r=n, n_theta=(n_theta or n), L=L, r_inner=r_inner,
             options=opts)
-        reports.append(mass_bound_report(data, fld, adm, opts.direction))
+        reports.append(mass_bound_report(fld, adm))
     slacks = [rep.slack for rep in reports]
     conv = None
     eps = None

@@ -38,10 +38,11 @@ linear and the nonlinear residual.
 
 Outer Dirichlet data is the truncated asymptote a * rho cos(theta).  The
 data decides the inner boundary: data with a smooth centre
-(``data.has_center``) couples the innermost ring to an extra unknown, the
-virtual value at r = 0; any other inner sphere carries the Dirichlet
-value 0 (the trapped-boundary mode, with the sign of the normal
-derivative reported afterwards, never enforced).
+(``data.has_center``) couples the innermost ring to the virtual value at
+r = 0, read from rings 0 and 1 (``fields.centre_weights``); any other
+inner sphere carries the Dirichlet value 0 (the trapped-boundary mode,
+with the sign of the normal derivative reported afterwards, never
+enforced).
 
 Data carrying an isotropic chart is solved on that chart: the grid runs
 through the minimal sphere into the second asymptotic sheet, whose
@@ -60,7 +61,7 @@ from ..errors import PicardStagnationError
 from ..numgrid import (AxisymGrid, EllipticOperator, lagrange_weights,
                        solve_linear_elliptic, stencil_d1, stencil_d2)
 from .fields import AxisymField, GridCoefficients, build_coefficients, \
-    build_solver_grid
+    build_solver_grid, centre_weights
 
 # Anderson history: the last ANDERSON_DEPTH differences of the fixed-point
 # residuals mix each step (3 takes hyperbolic_negschw from 31 damped steps
@@ -77,10 +78,11 @@ class SolveOptions:
     picard_tol: float = 1e-9
 
 
-def _assemble_operator(coeffs: GridCoefficients,
-                       inner_mode: str) -> EllipticOperator:
+def _assemble_operator(coeffs: GridCoefficients) -> EllipticOperator:
     """Separated operator for Delta u in conservation form, with its
-    boundary, axis, corner and centre rows.
+    axis, corner and centre rows; the operator fixes the outer ring, and
+    ring 0 too unless the data has a smooth centre
+    (``coeffs.data.has_center``).
 
     Radial part (1/(sqrt(lam) rho^2)) d_s((rho^2/sqrt(lam)) u_s) and
     angular part (1/rho^2) d_x((1-x^2) u_x) are discretized as flux
@@ -96,18 +98,13 @@ def _assemble_operator(coeffs: GridCoefficients,
       interior columns;
     * each corner ring, continuity of the radial flux u_s / sqrt(lam),
       reaching two rings to either side, with g = 0;
-    * with a smooth centre, one extra unknown for the virtual r = 0 value
-      (the inner neighbour of the innermost ring), defined by the
-      x-averages of the first two rings as even in r;
-    * identity rows at the Dirichlet rings.
+    * with a smooth centre, ring 0 reaches the virtual r = 0 value (its
+      inner neighbour), the x-averages of the first two rings read as
+      even in r (``centre_weights``).
     """
     grid = coeffs.grid
     s, x = grid.r, grid.x
-    N, M1 = s.size, x.size
-    fixed = np.zeros((N, M1), dtype=bool)
-    fixed[N - 1, :] = True
-    if inner_mode == "trapped_const":
-        fixed[0, :] = True
+    N = s.size
     radial = np.zeros((N, 5))            # rings i-2 .. i+2
     g = np.zeros(N)
 
@@ -140,24 +137,20 @@ def _assemble_operator(coeffs: GridCoefficients,
         g[i] = 1.0 / rho[k] ** 2
 
     centre = None
-    if inner_mode == "center":
-        # smooth centre: collocation of ring 0 against the r = 0 unknown
+    if coeffs.data.has_center:
+        # smooth centre: collocation of ring 0 against the r = 0 value
         z = np.array([0.0, s[0], s[1]])
-        w1 = stencil_d1(*z)[1]
-        w2 = stencil_d2(*z)
+        d1 = stencil_d1(*z)[1]
+        d2 = stencil_d2(*z)
         lam0, rho0 = coeffs.lam[0], coeffs.rho[0]
         A = 1.0 / lam0
         B = (2.0 * coeffs.rhop[0] / (lam0 * rho0)
              - coeffs.lamp[0] / (2.0 * lam0 ** 2))
-        radial[0, 2] = A * w2[1] + B * w1[1]
-        radial[0, 3] = A * w2[2] + B * w1[2]
+        radial[0, 2] = A * d2[1] + B * d1[1]
+        radial[0, 3] = A * d2[2] + B * d1[2]
         g[0] = 1.0 / rho0 ** 2
-        wm = grid.x_weights()
-        wm = wm / np.sum(wm)
-        r1, r2 = s[0], s[1]
-        den = r2 * r2 - r1 * r1
-        centre = (A * w2[0] + B * w1[0], -(r2 * r2 / den) * wm,
-                  (r1 * r1 / den) * wm)
+        w0, w1 = centre_weights(grid)
+        centre = (A * d2[0] + B * d1[0], -w0, -w1)
 
     # corner rings: continuity of the radial flux u_s / sqrt(lam), with
     # the one-sided first-derivative rows of the field derivatives
@@ -170,11 +163,8 @@ def _assemble_operator(coeffs: GridCoefficients,
         radial[i] = (sfL * wL[0], sfL * wL[1], sfL * wL[2] - sfR * wR[0],
                      -sfR * wR[1], -sfR * wR[2])
 
-    source_rows = np.zeros((N, M1), dtype=bool)
-    source_rows[:, 1:-1] = (~fixed[:, 0])[:, None]
-    source_rows[coeffs.corner_indices, :] = False
     axis = (lagrange_weights(x[1:4], x[0]), lagrange_weights(x[-4:-1], x[-1]))
-    return EllipticOperator(radial, g, angular, axis, fixed, source_rows,
+    return EllipticOperator(radial, g, angular, axis, coeffs.corner_indices,
                             centre)
 
 
@@ -240,12 +230,11 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
     if grid is None:
         grid = build_solver_grid(data, n_r, n_theta, L, r_inner)
     coeffs = build_coefficients(data, grid)
-    inner_mode = "center" if data.has_center else "trapped_const"
-    operator = _assemble_operator(coeffs, inner_mode)
+    operator = _assemble_operator(coeffs)
 
     sign = float(opts.direction)
     boundary = sign * np.outer(coeffs.rho, grid.x)
-    if inner_mode == "trapped_const":
+    if not data.has_center:
         boundary[0, :] = 0.0
     k_zero = np.max(np.abs(coeffs.K)) == 0.0
     if k_zero:
@@ -266,7 +255,7 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
             f"finite square", picard_changes)
     field = AxisymField(coeffs, u, delta=opts.delta)
     # the discrete equation's residual max|A u - b(u)|
-    F = (operator.apply(operator.unknowns(u))
+    F = (operator.apply(u)
          - operator.rhs(np.zeros_like(u) if k_zero
                         else _source(coeffs, field, opts.delta), boundary))
     if k_zero:
@@ -279,7 +268,6 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
                   "factor_floats": free_rings * free_rings,
                   "eigvec_cond": 1.0, "residual": residual}
     else:
-        F = F[:u.size].reshape(u.shape)
         nonlinear_residual = float(np.max(np.abs(F[operator.source_rows])))
         # over all Picard steps; residual is the largest max|A u - b|
         linear = {"factorizations": operator.factorizations,
@@ -300,12 +288,12 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
         "nonlinear_residual": nonlinear_residual,
         "linear": linear,
         "max_principle_violation": mp_violation,
-        "inner_mode": inner_mode,
+        "inner_mode": "center" if data.has_center else "trapped_const",
         "chart": coeffs.chart,
         "truncation": float(coeffs.rho[-1]),
         "direction": sign,
     }
-    if inner_mode == "trapped_const":
+    if not data.has_center:
         u_r0, _, _ = field.radial_derivative_rows(0, "plus")
         nu_s_u = -u_r0 / coeffs.sqlam[0]     # normal pointing out of the domain
         theta_plus = (2.0 * coeffs.rhop[0] / (coeffs.sqlam[0] * coeffs.rho[0])

@@ -9,7 +9,10 @@ only what their inputs determine: an elliptic operator's factor (the
 angular eigenvectors, found from the two half-size eigenproblems of the
 grid's mirror symmetry theta -> pi - theta, and one banded LU per radial
 mode), and the module's Gauss-Legendre rules, one per node count, built
-on first use.  Every linear solve is one solve of the correction from a
+on first use.  The elliptic operator maps an (N, M+1) field to an
+(N, M+1) field; at a smooth centre its ring-0 rows read the virtual
+value at r = 0 from rings 0 and 1 of that field.
+Every linear solve is one solve of the correction from a
 field that already holds the Dirichlet data, except the l = 1 solve of
 a field phi(r) cos(theta) with zero source, which is one dense radial
 system and needs no factor.  numpy is the only dependency.
@@ -477,7 +480,7 @@ class ModeFactor:
     """The factor of a separated operator: the eigenvectors V of the
     reduced angular matrix and V^-1, ``band_lu``'s factor of every radial
     mode system (with the outer diagonals ``lower2`` and ``upper2``) and,
-    with a centre unknown, ``centre`` = (the mode solution for a unit
+    with a centre value, ``centre`` = (the mode solution for a unit
     centre value, the centre row on rings 0 and 1 in modes, the bordered
     system's Schur complement).  ``floats`` counts the float64 values it
     holds; ``eigvec_cond`` is cond(V)."""
@@ -494,27 +497,29 @@ class ModeFactor:
 
 
 class EllipticOperator:
-    """The linear system A v = b of one axisymmetric grid, in separated
+    """The linear system A u = b of one axisymmetric grid, in separated
     form, factored once.
 
-    The unknowns v are the (N, M+1) node values in row-major order,
-    followed by the centre value c when ``centre`` is given.  Every ring
-    is either fixed (``fixed``, whole rings at the ends) or free.  Rows:
+    A maps an (N, M+1) field to an (N, M+1) field, and b is one too.  The
+    operator derives its boundary rows: the outer ring is always fixed,
+    ring 0 is fixed exactly when there is no ``centre``, and the other
+    rings are free.  Rows:
 
     * at a fixed node, the identity (the Dirichlet value);
     * at the interior columns j = 1..M-1 of a free ring i,
       sum_o radial[i, o + 2] u[i + o, j] + ring_scale[i] (west u[i, j-1]
       + centre u[i, j] + east u[i, j+1]) with (west, centre, east) =
       angular[:, j - 1], plus coupling * c on ring 0 with centre =
-      (coupling, w0, w1);
+      (coupling, w0, w1) and c = -(w0 . u[0] + w1 . u[1]) the virtual
+      value at r = 0;
     * at the axis columns of a free ring, u[i, 0] - axis_weights[0] .
-      u[i, 1:4] and u[i, M] - axis_weights[1] . u[i, M-3:M];
-    * the centre row, c + w0 . u[0] + w1 . u[1].
+      u[i, 1:4] and u[i, M] - axis_weights[1] . u[i, M-3:M].
 
     ``radial`` is (N, 5), ``angular`` (3, M-1): the three diagonals of
     the (M-1) x (M+1) angular matrix.  The right-hand side
-    holds the source at ``source_rows``, the Dirichlet value at the fixed
-    nodes and zero elsewhere (``rhs``).
+    holds the source at ``source_rows`` (the interior columns of the
+    free rings that are not ``corners``), the Dirichlet value at the
+    ``fixed`` nodes and zero elsewhere (``rhs``).
 
     The angular matrix is the same on every ring, so with the axis rows
     eliminated it becomes one (M-1) x (M-1) matrix X = V diag(lam) V^-1
@@ -523,52 +528,43 @@ class EllipticOperator:
     halves; an X that is not its own flip is refused.  In the modes
     w_i = V^-1 u[i, 1:-1] the system splits into one
     pentadiagonal radial system radial + lam_k diag(ring_scale) per mode,
-    and the centre unknown is eliminated by bordering.  ``solve`` takes a
+    and the centre value is eliminated by bordering.  ``solve`` takes a
     right-hand side that is zero at the fixed nodes, as a correction's
     is, so only the axis rows' values move to the other side.  The factor
     is computed on the first solve and reused by every later one; it is
     the only state the operator keeps.
 
     x = cos(theta) is an exact eigenvector of X, with eigenvalue -2, and
-    the centre row does not couple it, so a field phi (x) x with zero
+    the centre value does not couple it, so a field phi (x) x with zero
     source needs none of this: ``solve_l1`` finds phi from one radial
     system and builds no factor.
     """
 
-    def __init__(self, radial, ring_scale, angular, axis_weights, fixed,
-                 source_rows, centre=None):
+    def __init__(self, radial, ring_scale, angular, axis_weights, corners,
+                 centre=None):
         self.radial = np.asarray(radial, dtype=float)
         self.ring_scale = np.asarray(ring_scale, dtype=float)
         self.angular = np.asarray(angular, dtype=float)
         self.axis_weights = tuple(np.asarray(w, dtype=float)
                                   for w in axis_weights)
-        self.fixed = np.asarray(fixed, dtype=bool)
-        self.source_rows = np.asarray(source_rows, dtype=bool)
         self.centre = centre
-        rings = self.fixed.all(axis=1)
-        free = np.flatnonzero(~rings)
-        if (self.fixed.any(axis=1) != rings).any() or free.size < 3 or \
-                free[-1] - free[0] + 1 != free.size:
-            raise ValueError("fixed nodes must be whole rings at the ends")
-        if centre is not None and free[0] != 0:
-            raise ValueError("a centre unknown needs a free ring 0")
-        self._free = slice(int(free[0]), int(free[-1]) + 1)
+        N = self.radial.shape[0]
+        self._free = slice(0 if centre is not None else 1, N - 1)
+        self.fixed = np.ones((N, self.angular.shape[1] + 2), dtype=bool)
+        self.fixed[self._free] = False
+        self.source_rows = ~self.fixed
+        self.source_rows[:, [0, -1]] = False
+        self.source_rows[corners] = False
         self.factorizations = 0
         self._factor = None
 
-    @property
-    def n_unknowns(self):
-        return self.fixed.size + (self.centre is not None)
-
     # -- the operator, matrix-free ---------------------------------------
 
-    def apply(self, v):
-        """A v for a vector of ``n_unknowns`` values."""
-        v = np.asarray(v, dtype=float)
-        N = self.fixed.shape[0]
-        u = v[:self.fixed.size].reshape(self.fixed.shape)
-        out = v.copy()                   # the identity rows
-        Au = out[:self.fixed.size].reshape(self.fixed.shape)
+    def apply(self, u):
+        """A u for an (N, M+1) field u."""
+        u = np.asarray(u, dtype=float)
+        N = u.shape[0]
+        Au = u.copy()                    # the identity rows
         free = self._free
         w_n, w_s = self.axis_weights
         # radial plus angular rows on every ring, kept on the free ones
@@ -585,27 +581,16 @@ class EllipticOperator:
         Au[free, -1] -= u[free, -4:-1] @ w_s
         if self.centre is not None:
             coupling, w0, w1 = self.centre
-            Au[0, 1:-1] += coupling * v[-1]
-            out[-1] += w0 @ u[0] + w1 @ u[1]
-        return out
-
-    def unknowns(self, u):
-        """The vector v of the (N, M+1) node values u, with the centre
-        value (if any) from its own row: c = -(w0 . u[0] + w1 . u[1])."""
-        u = np.asarray(u, dtype=float)
-        if self.centre is None:
-            return u.ravel()
-        _, w0, w1 = self.centre
-        return np.append(u.ravel(), -(w0 @ u[0] + w1 @ u[1]))
+            Au[0, 1:-1] += coupling * -(w0 @ u[0] + w1 @ u[1])
+        return Au
 
     def rhs(self, source, boundary_values):
         """b: the source at the source rows, the Dirichlet values at the
         fixed nodes, zero elsewhere."""
-        b = np.zeros(self.n_unknowns)
-        nodes = b[:self.fixed.size].reshape(self.fixed.shape)
+        b = np.zeros(self.fixed.shape)
         rows, fixed = self.source_rows, self.fixed
-        nodes[rows] = np.asarray(source, dtype=float)[rows]
-        nodes[fixed] = np.asarray(boundary_values, dtype=float)[fixed]
+        b[rows] = np.asarray(source, dtype=float)[rows]
+        b[fixed] = np.asarray(boundary_values, dtype=float)[fixed]
         return b
 
     # -- the factor and the direct solve ---------------------------------
@@ -657,37 +642,33 @@ class EllipticOperator:
                           (z, *modes, float(pivot)))
 
     def solve(self, b):
-        """The v with A v = b for a b that is zero at the fixed nodes (the
+        """The u with A u = b for a b that is zero at the fixed nodes (the
         right-hand side of a correction), by the factor: the axis rows' b
         through the angular matrix's two corner entries (the first row's
         west and the last row's east coefficient), V^-1 along the
-        angular index, one banded solve per mode, the centre by
-        bordering, V back.  The fixed nodes of v are zero."""
+        angular index, one banded solve per mode, the centre value by
+        bordering, V back.  The fixed nodes of u are zero."""
         f = self.factor()
         b = np.asarray(b, dtype=float)
-        shape, free = self.fixed.shape, self._free
-        nodes = b[:self.fixed.size].reshape(shape)
-        v = np.zeros(self.n_unknowns)
-        u = v[:self.fixed.size].reshape(shape)
-        u[free, 0], u[free, -1] = nodes[free, 0], nodes[free, -1]
+        free = self._free
+        u = np.zeros(self.fixed.shape)
+        u[free, 0], u[free, -1] = b[free, 0], b[free, -1]
         g = self.ring_scale[free]
-        rhs = nodes[free, 1:-1].copy()
+        rhs = b[free, 1:-1].copy()
         rhs[:, 0] -= g * (u[free, 0] * self.angular[0, 0])
         rhs[:, -1] -= g * (u[free, -1] * self.angular[2, -1])
         w = band_solve(f.band, f.lower2, f.upper2, rhs @ f.Vinv.T)
         if self.centre is not None:
             _, w0, w1 = self.centre
             z, m0, m1, pivot = f.centre
-            c = (b[-1] - w0 @ u[0] - w1 @ u[1] - m0 @ w[0] - m1 @ w[1]) \
-                / pivot
+            c = (-(w0 @ u[0]) - w1 @ u[1] - m0 @ w[0] - m1 @ w[1]) / pivot
             w -= c * z
-            v[-1] = c
         inner = w @ f.V.T
         w_n, w_s = self.axis_weights
         u[free, 1:-1] = inner
         u[free, 0] += inner[:, :3] @ w_n
         u[free, -1] += inner[:, -3:] @ w_s
-        return v
+        return u
 
     def solve_l1(self, phi):
         """The radial factor of the solution phi (x) x of A v = 0 at every
@@ -746,21 +727,20 @@ def solve_linear_elliptic(operator: EllipticOperator, source,
     ``source`` holds the right-hand side at the stencil nodes and
     ``boundary_values`` the Dirichlet values at ``operator.fixed``; both
     are (N, M+1).  ``start`` (an (N, M+1) field, zero when not given)
-    with its fixed nodes replaced by the Dirichlet values is v, and the
-    result is v + A~^-1 (b - A v), A~^-1 the factor's solve.  The
+    with its fixed nodes replaced by the Dirichlet values is u0, and the
+    result is u0 + A~^-1 (b - A u0), A~^-1 the factor's solve.  The
     correction's right-hand side is zero at the fixed nodes, its rounding
     (the transforms by V amplify it by up to cond(V)) scales with the
     correction, and a fixed point is still exactly A u = b.  Returns
-    (u, info) with 'residual' = max|A v - b| from the matrix-free
-    ``apply`` and 'sweeps' = 0 (a direct solve does no relaxation
-    sweeps).
+    (u, info) with 'residual' = max|A u - b| from the matrix-free
+    ``apply``, whose ring-0 rows read the centre value from u itself,
+    and 'sweeps' = 0 (a direct solve does no relaxation sweeps).
     """
     b = operator.rhs(source, boundary_values)
-    v = operator.unknowns(np.where(operator.fixed, boundary_values,
-                                   0.0 if start is None else start))
-    v += operator.solve(b - operator.apply(v))
-    residual = float(np.max(np.abs(operator.apply(v) - b)))
-    u = v[:operator.fixed.size].reshape(operator.fixed.shape)
+    u = np.where(operator.fixed, boundary_values,
+                 0.0 if start is None else start)
+    u += operator.solve(b - operator.apply(u))
+    residual = float(np.max(np.abs(operator.apply(u) - b)))
     return u, {"sweeps": 0, "residual": residual}
 
 

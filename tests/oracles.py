@@ -247,15 +247,22 @@ def shi_tam_rk4(r0, h_eff, span=1000.0, n_steps=4000):
     return s, ys[:, 0]
 
 
+def dense_operator(operator):
+    """The dense matrix of ``operator`` on the raveled (N, M+1) field:
+    column k is ``operator.apply`` of the k-th unit field, raveled."""
+    shape = operator.fixed.shape
+    units = np.eye(operator.fixed.size).reshape(-1, *shape)
+    return np.stack([operator.apply(e).ravel() for e in units], axis=1)
+
+
 def dense_elliptic_solve(operator, source, boundary_values):
-    """(v, A, b): the solution of A v = b by ``numpy.linalg.solve``, where
-    A is the dense matrix whose column k is ``operator.apply(e_k)`` and b
-    is ``operator.rhs(source, boundary_values)``; v includes any centre
-    unknown after the node values."""
-    A = np.stack([operator.apply(e) for e in np.eye(operator.n_unknowns)],
-                 axis=1)
+    """(u, A, b): the (N, M+1) solution of A u = b by
+    ``numpy.linalg.solve``, where A is ``dense_operator(operator)`` and b
+    is the field ``operator.rhs(source, boundary_values)``.  A smooth
+    centre is no unknown of its own: the ring-0 columns of A carry it."""
+    A = dense_operator(operator)
     b = operator.rhs(source, boundary_values)
-    return np.linalg.solve(A, b), A, b
+    return np.linalg.solve(A, b.ravel()).reshape(b.shape), A, b
 
 
 def band_lu_indexed(lower2, lower1, diag, upper1, upper2):

@@ -469,9 +469,9 @@ truncation = 12.0
         from cornermass.harmonic import solver
         assemble = solver._assemble_operator
 
-        def broken(coeffs, inner_mode):
+        def broken(coeffs):
             # ring 2's row of the K = 0 radial system: all zero or NaN
-            op = assemble(coeffs, inner_mode)
+            op = assemble(coeffs)
             op.radial[2] = value
             op.ring_scale[2] = value
             return op
@@ -747,62 +747,81 @@ class TestConfigFuzz:
 
 
 class TestImportPath:
-    @staticmethod
-    def _loaded(code, cwd=None, package="scipy"):
-        """Sorted modules of ``package`` (a name or a tuple of names)
-        loaded after running ``code`` in a fresh interpreter that imports
-        cornermass from this source tree."""
+    # what no command may load: scipy (the solve is separated), csv (one
+    # hand-written writer, numgrid.write_csv, emits the csv module's
+    # bytes), numpy.polynomial (numgrid builds the Gauss-Legendre rules)
+    # and argparse with the gettext and locale modules of its first
+    # message lookup (the argument line is parsed by hand)
+    FORBIDDEN = ("scipy", "csv", "numpy.polynomial", "argparse", "gettext",
+                 "locale")
+    # the commands run in turn after the import, with their configs
+    COMMANDS = (
+        ("quasilocal", "[run]\nscenario = schwarzschild\n[scenario]\n"
+         "m = 1.0\n[quasilocal]\nr0 = 6.0\nhull_radii = 2.6 3.0 3.5\n"),
+        ("regress", None),
+        ("certificate", "[certificate]\nr0 = 1.0\nh_eff_sweep = 0.5 4.0 8\n"),
+        ("massbound", "[run]\nscenario = hyperbolic_negschw\n"
+         "resolutions = 32 48\ntruncation = 30\n"),
+    )
+
+    @pytest.fixture(scope="class")
+    def loaded(self, tmp_path_factory):
+        """{stage: {package: sorted modules of it loaded}} for the stages
+        "import" (``import cornermass.cli``) and each command of
+        COMMANDS, all run in one fresh interpreter that imports
+        cornermass from this source tree; a stage's sets hold what it and
+        every earlier stage loaded."""
+        cwd = tmp_path_factory.mktemp("import_path")
+        commands = []
+        for name, config in self.COMMANDS:
+            argv = [name, "--out", f"{name}.json"]
+            if config is not None:
+                write(cwd, f"{name}.cfg", config)
+                argv += ["--config", f"{name}.cfg"]
+            commands.append((name, argv))
+        code = (
+            "import json, sys\n"
+            "def loaded():\n"
+            "    return {p: sorted(m for m in sys.modules\n"
+            "                      if (m + '.').startswith(p + '.'))\n"
+            f"            for p in {self.FORBIDDEN!r}}}\n"
+            "import cornermass.cli as c\n"
+            "stages = {'import': loaded()}\n"
+            f"for name, argv in {commands!r}:\n"
+            "    assert c.main(argv) == 0, name\n"
+            "    stages[name] = loaded()\n"
+            "print(json.dumps(stages))\n")
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
-        names = (package,) if isinstance(package, str) else package
-        prefixes = tuple(name + "." for name in names)
-        code += ("\nimport json, sys\nprint(json.dumps(sorted(m for m in "
-                 f"sys.modules if (m + '.').startswith({prefixes!r}))))")
         out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                              capture_output=True, text=True, check=True)
         return json.loads(out.stdout.splitlines()[-1])
 
-    def test_cli_import_skips_interpolate_and_optimize(self):
-        assert self._loaded("import cornermass.cli") == []
+    def test_no_stage_loads_a_forbidden_module(self, loaded):
+        assert list(loaded) == ["import"] + [n for n, _ in self.COMMANDS]
+        found = {stage: {p: mods for p, mods in got.items() if mods}
+                 for stage, got in loaded.items()}
+        assert not any(found.values()), \
+            f"forbidden modules loaded, by stage: {found}"
 
-    def test_cli_import_skips_csv(self):
-        # one hand-written CSV writer (numgrid.write_csv) emits the csv
-        # module's bytes
-        assert self._loaded("import cornermass.cli", package="csv") == []
+    def test_cli_import_skips_interpolate_and_optimize(self, loaded):
+        assert loaded["import"]["scipy"] == []
 
-    def test_quasilocal_loads_no_scipy(self, tmp_path):
-        write(tmp_path, "q.cfg", """
-[run]
-scenario = schwarzschild
-[scenario]
-m = 1.0
-[quasilocal]
-r0 = 6.0
-hull_radii = 2.6 3.0 3.5
-""")
-        loaded = self._loaded(
-            "import cornermass.cli as c\n"
-            "assert c.main(['quasilocal', '--config', 'q.cfg', "
-            "'--out', 'q.json']) == 0", cwd=tmp_path)
-        assert loaded == []
+    def test_cli_import_skips_csv(self, loaded):
+        assert loaded["import"]["csv"] == []
 
-    def test_regress_skips_interpolate_and_optimize(self, tmp_path):
+    def test_quasilocal_loads_no_scipy(self, loaded):
+        assert loaded["quasilocal"]["scipy"] == []
+
+    def test_regress_skips_interpolate_and_optimize(self, loaded):
         # since the separable solve, regress loads no scipy module at all
-        loaded = self._loaded(
-            "import cornermass.cli as c\n"
-            "assert c.main(['regress', '--out', 'r.json']) == 0",
-            cwd=tmp_path)
-        assert loaded == []
+        assert loaded["regress"]["scipy"] == []
 
-    def test_regress_leaves_numpy_polynomial_unloaded(self, tmp_path):
+    def test_regress_leaves_numpy_polynomial_unloaded(self, loaded):
         # the Gauss-Legendre rules are built by numgrid itself
-        loaded = self._loaded(
-            "import cornermass.cli as c\n"
-            "assert c.main(['regress', '--out', 'r.json']) == 0",
-            cwd=tmp_path, package="numpy.polynomial")
-        assert loaded == []
+        assert loaded["regress"]["numpy.polynomial"] == []
 
     def test_src_has_no_numpy_polynomial(self):
         src = Path(cli.__file__).resolve().parent
@@ -811,30 +830,14 @@ hull_radii = 2.6 3.0 3.5
                              p.read_text(encoding="utf-8"))]
         assert hits == []
 
-    def test_certificate_loads_no_argparse_or_locale(self, tmp_path):
+    def test_certificate_loads_no_argparse_or_locale(self, loaded):
         # the argument line is parsed by hand: argparse, and the gettext
         # and locale modules of its first message lookup, stay unloaded
-        write(tmp_path, "c.cfg", "[certificate]\nr0 = 1.0\n"
-              "h_eff_sweep = 0.5 4.0 8\n")
-        loaded = self._loaded(
-            "import cornermass.cli as c\n"
-            "assert c.main(['certificate', '--config', 'c.cfg', "
-            "'--out', 'c.json']) == 0", cwd=tmp_path,
-            package=("argparse", "gettext", "locale"))
-        assert loaded == []
+        assert [m for p in ("argparse", "gettext", "locale")
+                for m in loaded["certificate"][p]] == []
 
-    def test_massbound_loads_no_scipy(self, tmp_path):
-        write(tmp_path, "m.cfg", """
-[run]
-scenario = hyperbolic_negschw
-resolutions = 32 48
-truncation = 30
-""")
-        loaded = self._loaded(
-            "import cornermass.cli as c\n"
-            "assert c.main(['massbound', '--config', 'm.cfg', "
-            "'--out', 'm.json']) == 0", cwd=tmp_path)
-        assert loaded == []
+    def test_massbound_loads_no_scipy(self, loaded):
+        assert loaded["massbound"]["scipy"] == []
 
 
 class TestDeterminism:

@@ -84,8 +84,7 @@ class TestSolver:
         data = scenario_build(name)
         fld = solve_spacetime_harmonic(data, n_r=n, n_theta=n, L=L)
         assert np.max(np.abs(fld.coeffs.K)) == 0.0
-        op = solver._assemble_operator(fld.coeffs,
-                                       fld.diagnostics["inner_mode"])
+        op = solver._assemble_operator(fld.coeffs)
         ref, _ = solve_linear_elliptic(op, np.zeros_like(fld.values),
                                        np.where(op.fixed, fld.values, 0.0))
         scale = float(np.max(np.abs(ref)))
@@ -99,8 +98,7 @@ class TestSolver:
         from cornermass.harmonic import solver
         data = scenario_build("shi_tam_glue")
         grid = build_solver_grid(data, 16, n_theta, 20.0, None)
-        op = solver._assemble_operator(build_coefficients(data, grid),
-                                       "center")
+        op = solver._assemble_operator(build_coefficients(data, grid))
         X, x = op.reduced_angular(), grid.x
         eps = np.finfo(float).eps
         assert np.max(np.abs(X @ x[1:-1] + 2.0 * x[1:-1])) <= \
@@ -402,7 +400,7 @@ class TestStencilTables:
                 counting(module, name)
         data = scenario_build("hyperbolic_negschw")
         grid = build_solver_grid(data, 16, 16, 10.0)
-        solver._assemble_operator(build_coefficients(data, grid), "center")
+        solver._assemble_operator(build_coefficients(data, grid))
         setup = len(calls)
         assert setup > 0
         per_solve = []
@@ -481,7 +479,7 @@ class TestSideArrays:
         from cornermass.harmonic import massbound
         data, fld = side_case
         adm = masses.adm_energy_momentum(data, ADM_RADII)
-        rep = mass_bound_report(data, fld, adm, +1)
+        rep = mass_bound_report(fld, adm)
         hes = spacetime_hessian(fld)
         mask = massbound.critical_mask(fld, hes)
         parts = massbound._bulk_parts(fld, hes, mask)
@@ -497,7 +495,7 @@ class TestMassBound:
     def test_flat_slack_zero(self, flat_field):
         data, fld = flat_field
         adm = masses.adm_energy_momentum(data, ADM_RADII)
-        rep = mass_bound_report(data, fld, adm, +1)
+        rep = mass_bound_report(fld, adm)
         assert abs(rep.slack) <= 1e-8
         assert rep.corner == 0.0
         assert rep.verdict
@@ -528,7 +526,7 @@ class TestMassBound:
         data = scenario_build("hyperbolic_negschw")
         adm = masses.adm_energy_momentum(data, ADM_RADII)
         fld = solve_spacetime_harmonic(data, n_r=48, n_theta=48, L=30.0)
-        rep = mass_bound_report(data, fld, adm, +1)
+        rep = mass_bound_report(fld, adm)
         assert rep.lhs == pytest.approx(16 * np.pi * (-0.5), rel=1e-4)
         assert rep.corner < 0
         assert rep.bulk >= 0
@@ -547,7 +545,7 @@ class TestMassBound:
         data = scenario_build("hyperbolic_negschw")
         adm = masses.adm_energy_momentum(data, ADM_RADII)
         fld = solve_spacetime_harmonic(data, n_r=16, n_theta=16, L=10.0)
-        mass_bound_report(data, fld, adm, +1)
+        mass_bound_report(fld, adm)
         assert len(calls) == 1
 
     def test_volume_weights_corner_half_cells_by_side(self, monkeypatch):
@@ -560,7 +558,7 @@ class TestMassBound:
         data = scenario_build("shi_tam_glue", omega_nn=0.7)
         adm = masses.adm_energy_momentum(data, ADM_RADII)
         fld = solve_spacetime_harmonic(data, n_r=32, n_theta=32, L=30.0)
-        rep = mass_bound_report(data, fld, adm, +1)
+        rep = mass_bound_report(fld, adm)
         assert rep.diagnostics["critical_excluded_volume"] == pytest.approx(
             115733.909, abs=1e-3)
         assert rep.diagnostics["critical_excluded_fraction"] == 1.0
@@ -582,7 +580,7 @@ class TestMassBound:
         for sign in (1, -1):
             data = scenario_build("hyperbolic_negschw", k_sign=sign)
             fld = solve_spacetime_harmonic(data, n_r=32, n_theta=32, L=15.0)
-            rep = mass_bound_report(data, fld, adm, +1)
+            rep = mass_bound_report(fld, adm)
             corners.append(rep.corner)
         assert corners[0] < 0 and corners[1] < 0
 
@@ -599,7 +597,7 @@ class TestBoundaryFormula:
             "u_xx": lambda r, x: np.zeros_like(np.asarray(x, float)),
         }
         inj = AxisymField(fld.coeffs, fld.values, closures=closures)
-        rep = boundary_formula_check(data, inj, 1.0)
+        rep = boundary_formula_check(inj, 1.0)
         assert abs(rep.lhs - rep.rhs) <= 1e-6
         assert abs(rep.residual) <= 1e-10
         assert rep.terms["minus_H_grad"] == pytest.approx(-8 * np.pi,
@@ -626,7 +624,7 @@ class TestBoundaryFormula:
         }
         fld = AxisymField.from_function(coeffs, lambda R, X: 1.0 / R,
                                         closures=closures)
-        rep = boundary_formula_check(data, fld, 5.0)
+        rep = boundary_formula_check(fld, 5.0)
         for name in ("kappa_coarea", "grad_eta_nu_u", "turning",
                      "laplacian_eta"):
             assert abs(rep.terms[name]) <= 1e-10
@@ -641,7 +639,7 @@ class TestBoundaryFormula:
         for n in (48, 96):
             fld = solve_spacetime_harmonic(data, n_r=n, n_theta=n, L=15.0)
             for side in ("minus", "plus"):
-                rep = boundary_formula_check(data, fld, 1.0, side=side)
+                rep = boundary_formula_check(fld, 1.0, side=side)
                 res[(side, n)] = abs(rep.residual)
                 assert abs(rep.residual) <= 0.05 * abs(rep.terms[
                     "minus_H_grad"]), (side, n)
@@ -655,7 +653,7 @@ class TestBoundaryFormula:
         coeffs = build_coefficients(areal, grid)
         fld = AxisymField.from_function(coeffs, lambda R, X: R * X)
         rc = grid.r[len(grid.r) // 2]
-        rep = boundary_formula_check(data, fld, rc)
+        rep = boundary_formula_check(fld, rc)
         assert rep.excluded_measure > 0.01
         assert rep.excluded_flagged
 
@@ -676,7 +674,7 @@ class TestBoundaryFormula:
             coeffs = build_coefficients(areal, grid)
             fld = AxisymField.from_function(coeffs, u_fn)
             rc = grid.r[np.argmin(np.abs(grid.r - 5.0))]
-            rep = boundary_formula_check(data, fld, rc)
+            rep = boundary_formula_check(fld, rc)
             assert not rep.excluded_flagged
             residuals.append(abs(rep.residual))
         orders = [np.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
@@ -687,7 +685,7 @@ class TestIntegralFormula:
     def test_flat_ball_both_sides_zero(self, flat_field):
         data, fld = flat_field
         r_hi = fld.grid.r[np.argmin(np.abs(fld.grid.r - 10.0))]
-        rep = integral_formula_check(data, fld, (None, r_hi))
+        rep = integral_formula_check(fld, (None, r_hi))
         assert abs(rep.lhs) <= 1e-10
         assert abs(rep.rhs) <= 1e-9
         assert rep.inequality_ok()
@@ -702,7 +700,7 @@ class TestIntegralFormula:
             fld = solve_spacetime_harmonic(areal, grid=grid)
             ra = grid.r[np.argmin(np.abs(grid.r - 4.0))]
             rb = grid.r[np.argmin(np.abs(grid.r - 8.0))]
-            rep = integral_formula_check(data, fld, (ra, rb))
+            rep = integral_formula_check(fld, (ra, rb))
             residuals.append(abs(rep.residual))
             assert rep.lhs + rep.defect <= rep.rhs + 2.0 * abs(rep.residual) \
                 + 1e-8
@@ -717,7 +715,7 @@ class TestIntegralFormula:
         coeffs = build_coefficients(data, grid)
         fld = AxisymField.from_function(coeffs, lambda R, X: R * X)
         r_hi = grid.r[np.argmin(np.abs(grid.r - 6.0))]
-        rep = integral_formula_check(data, fld, (None, r_hi))
+        rep = integral_formula_check(fld, (None, r_hi))
         vol = 4.0 / 3.0 * np.pi * r_hi**3
         assert rep.lhs == pytest.approx(4.5 * c_amp**2 * vol, rel=1e-3)
         assert rep.defect == pytest.approx(-rep.lhs, rel=1e-9)
@@ -730,7 +728,7 @@ class TestIntegralFormula:
         lo = fld.grid.r[2]
         hi = fld.grid.r[-3]
         with pytest.raises(DomainError):
-            integral_formula_check(data, fld, (lo, hi))
+            integral_formula_check(fld, (lo, hi))
 
 
 class TestFieldExport:

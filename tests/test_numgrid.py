@@ -117,13 +117,15 @@ class TestAxisymGrid:
 
 
 def _flat_laplace_setup(n_r=16, n_theta=16, r_in=1.0, r_out=4.0):
+    # the default polynomial data is flat space minus the unit ball: no
+    # centre, so both end rings are Dirichlet rings
     from cornermass.corner import scenario_build
     from cornermass.harmonic.fields import build_coefficients
     from cornermass.harmonic.solver import _assemble_operator
     grid = numgrid.AxisymGrid.build(np.linspace(r_in, r_out, n_r), n_theta)
-    data = scenario_build("flat")
+    data = scenario_build("polynomial")
     coeffs = build_coefficients(data, grid)
-    return grid, _assemble_operator(coeffs, "trapped_const")
+    return grid, _assemble_operator(coeffs)
 
 
 class TestEllipticSolver:
@@ -145,7 +147,7 @@ class TestEllipticSolver:
         grid = numgrid.AxisymGrid.build(np.linspace(1.0 / 24, 1.0, 24), 12)
         data = scenario_build("flat")
         coeffs = build_coefficients(data, grid)
-        op = _assemble_operator(coeffs, "center")
+        op = _assemble_operator(coeffs)
         boundary = np.zeros((grid.n_r, grid.n_theta))
         src = np.full_like(boundary, -6.0)
         u, info = numgrid.solve_linear_elliptic(op, src, boundary)
@@ -175,12 +177,12 @@ class TestEllipticSolver:
         assert op.eigvec_cond >= 1.0
 
     def test_singular_operator_raises(self):
+        from oracles import dense_operator
         grid, op = _flat_laplace_setup(n_r=8, n_theta=8)
         # zero one interior ring's equations: the system is then singular
         op.radial[4] = 0.0
         op.ring_scale[4] = 0.0
-        dense = np.stack([op.apply(e) for e in np.eye(op.n_unknowns)],
-                         axis=1)
+        dense = dense_operator(op)
         assert np.linalg.matrix_rank(dense) < dense.shape[0]
         boundary = np.outer(grid.r, grid.x)
         with pytest.raises(SingularFactorError):
@@ -215,8 +217,7 @@ class TestSeparatedSolveOracle:
         data = scenario_build(name, **params)
         grid = build_solver_grid(data, 16, 16, 10.0)
         coeffs = build_coefficients(data, grid)
-        mode = "center" if data.has_center else "trapped_const"
-        return coeffs, _assemble_operator(coeffs, mode)
+        return coeffs, _assemble_operator(coeffs)
 
     @pytest.mark.parametrize("name, params, corners, centre", [
         ("hyperbolic_negschw", {}, 1, True),
@@ -234,17 +235,17 @@ class TestSeparatedSolveOracle:
         source = rng.standard_normal(op.fixed.shape)
         boundary = rng.standard_normal(op.fixed.shape)
         u, info = numgrid.solve_linear_elliptic(op, source, boundary)
-        v, A, b = dense_elliptic_solve(op, source, boundary)
-        dense = v[:op.fixed.size].reshape(op.fixed.shape)
+        dense, A, b = dense_elliptic_solve(op, source, boundary)
         bound = 10.0 * np.linalg.cond(A) * np.finfo(float).eps \
-            * np.max(np.abs(v))
+            * np.max(np.abs(dense))
         assert np.max(np.abs(u - dense)) <= bound
-        # the one correction from the boundary data, with the centre
-        # value
-        v0 = op.unknowns(np.where(op.fixed, boundary, 0.0))
-        assert np.max(np.abs(v0 + op.solve(b - op.apply(v0)) - v)) <= bound
+        # the one correction from the boundary data, the centre value
+        # read from the field
+        u0 = np.where(op.fixed, boundary, 0.0)
+        assert np.max(np.abs(u0 + op.solve(b - op.apply(u0)) - dense)) \
+            <= bound
         assert info["residual"] <= 1e-12 * np.max(np.abs(A)) \
-            * np.max(np.abs(v))
+            * np.max(np.abs(dense))
         assert np.array_equal(u[op.fixed], boundary[op.fixed])
         # the corner rows, read independently of the operator: the dense
         # solution's radial flux u_s / sqrt(lam) is continuous there
@@ -277,18 +278,53 @@ class TestSeparatedSolveOracle:
         rng = np.random.default_rng(7)
         source = rng.standard_normal(op.fixed.shape)
         boundary = rng.standard_normal(op.fixed.shape)
-        v, A, b = dense_elliptic_solve(op, source, boundary)
-        dense = v[:op.fixed.size].reshape(op.fixed.shape)
+        dense, A, b = dense_elliptic_solve(op, source, boundary)
         bound = 10.0 * np.linalg.cond(A) * np.finfo(float).eps \
-            * np.max(np.abs(v))
+            * np.max(np.abs(dense))
         for start in (dense, dense + rng.standard_normal(dense.shape)):
             u, info = numgrid.solve_linear_elliptic(op, source, boundary,
                                                     start=start)
             assert np.max(np.abs(u - dense)) <= bound
             assert info["residual"] <= 1e-12 * np.max(np.abs(A)) \
-                * np.max(np.abs(v))
+                * np.max(np.abs(dense))
             assert np.array_equal(u[op.fixed], boundary[op.fixed])
         assert len(solves) == 2 and op.factorizations == 1
+
+
+class TestOperatorRows:
+    """The operator derives its boundary rows from the data: the outer
+    ring is always a Dirichlet ring, ring 0 is one exactly when the data
+    has no smooth centre, and the source reaches the interior columns of
+    the free rings that are not corners."""
+
+    @pytest.mark.parametrize("name", [
+        "flat", "shi_tam_glue", "hyperbolic_negschw", "schwarzschild",
+        "isotropic_schwarzschild", "polynomial"])
+    def test_rows_follow_the_data(self, name):
+        from cornermass.corner import scenario_build
+        from cornermass.harmonic.fields import (build_coefficients,
+                                                build_solver_grid)
+        from cornermass.harmonic.solver import _assemble_operator
+        data = scenario_build(name)
+        grid = build_solver_grid(data, 16, 16, 10.0)
+        coeffs = build_coefficients(data, grid)
+        op = _assemble_operator(coeffs)
+        shape = (grid.n_r, grid.n_theta)
+        assert op.fixed.shape == op.source_rows.shape == shape
+        assert op.fixed[-1].all()
+        assert op.fixed[0].all() == op.fixed[0].any() == (
+            not data.has_center)
+        assert not op.fixed[1:-1].any()
+        assert (op.centre is not None) == data.has_center
+        corners = coeffs.corner_indices
+        assert len(corners) == len(data.corner_radii)
+        assert not op.source_rows[corners].any()
+        assert not op.source_rows[:, [0, -1]].any()
+        free = ~op.fixed
+        free[corners] = False
+        assert np.array_equal(op.source_rows[:, 1:-1], free[:, 1:-1])
+        u = np.random.default_rng(5).standard_normal(shape)
+        assert op.apply(u).shape == shape
 
 
 class TestBandRowViews:
@@ -302,7 +338,7 @@ class TestBandRowViews:
         from cornermass.harmonic.solver import _assemble_operator
         data = scenario_build("hyperbolic_negschw")
         op = _assemble_operator(build_coefficients(
-            data, build_solver_grid(data, 48, 48, 30.0)), "center")
+            data, build_solver_grid(data, 48, 48, 30.0)))
         calls = []
         band_lu = numgrid.band_lu
         monkeypatch.setattr(numgrid, "band_lu", lambda *args: calls.append(
@@ -334,7 +370,7 @@ class TestMirrorEig:
         data = scenario_build("hyperbolic_negschw")
         coeffs = build_coefficients(data, build_solver_grid(data, 16, n,
                                                             30.0))
-        return _assemble_operator(coeffs, "center")
+        return _assemble_operator(coeffs)
 
     @pytest.mark.parametrize("n", [16, 17, 32, 48, 64, 128])
     def test_matches_full_eig_oracle(self, n):
@@ -385,7 +421,7 @@ class TestDeterminism:
             u, _ = numgrid.solve_linear_elliptic(
                 op, np.zeros_like(boundary), boundary)
             grid = build_solver_grid(data, 16, 16, 10.0)
-            op = _assemble_operator(build_coefficients(data, grid), "center")
+            op = _assemble_operator(build_coefficients(data, grid))
             boundary = np.outer(grid.r, grid.x)
             v, _ = numgrid.solve_linear_elliptic(
                 op, np.sin(boundary), boundary)
