@@ -91,7 +91,6 @@ def critical_mask(field: AxisymField, hes: SpacetimeHessianField):
     """
     c = field.coeffs
     grid = field.grid
-    gn = field.grad_norm_plain()
     ds = np.zeros(grid.n_r)
     ds[1:-1] = np.maximum(np.diff(grid.r)[:-1], np.diff(grid.r)[1:])
     ds[0] = grid.r[1] - grid.r[0]
@@ -99,7 +98,7 @@ def critical_mask(field: AxisymField, hes: SpacetimeHessianField):
     h_rad = c.sqlam * ds
     h_ang = c.rho * (grid.theta[1] - grid.theta[0])
     h_loc = np.maximum(h_rad, h_ang)[:, None]
-    return gn < CRITICAL_CELLS * h_loc * np.sqrt(hes.norm_sq)
+    return hes.grad_norm < CRITICAL_CELLS * h_loc * np.sqrt(hes.norm_sq)
 
 
 def _side_volumes(field: AxisymField):
@@ -111,20 +110,22 @@ def _side_volumes(field: AxisymField):
             for side, w_r in (("minus", w_r_minus), ("plus", w_r_plus))]
 
 
-def _bulk_parts(field: AxisymField, hes: SpacetimeHessianField, mask):
+def _bulk_parts(field: AxisymField, hes: SpacetimeHessianField, mask,
+                volumes):
     """Per side of the corners, the delta-independent parts of the bulk
     integrand at the nodes the near-critical ``mask`` keeps: (|sHu|^2,
     |grad u|, 2 (mu |grad u| + J(grad u)), volume weight); each side's
-    limit weights its half-cell at a corner ring."""
+    limit weights its half-cell at a corner ring, with the minus and plus
+    ``volumes`` of ``_side_volumes``."""
     keep = ~mask
     parts = []
     for side, nsq, vol in zip(("minus", "plus"),
-                              (hes.norm_sq, hes.plus_norm_sq),
-                              _side_volumes(field)):
+                              (hes.norm_sq, hes.plus_norm_sq), volumes):
         if not np.any(vol):
             continue
         c = field.coeffs.side(side)
-        gn = field.grad_norm_plain(side)
+        gn = hes.grad_norm if side == "minus" \
+            else field.grad_norm_plain(side)
         u_t, _ = field.gradient(side)
         matter = 2.0 * (c.mu[:, None] * gn + c.Jn[:, None] * u_t)
         parts.append(tuple(arr[keep] for arr in (nsq, gn, matter, vol)))
@@ -185,12 +186,13 @@ def mass_bound_report(field: AxisymField, adm: AdmResult) -> MassBoundReport:
     corner, jumps, violated = _corner_integral(field)
     hes = spacetime_hessian(field)
     mask = critical_mask(field, hes)
-    vol = sum(_side_volumes(field))
+    volumes = _side_volumes(field)
+    vol = sum(volumes)
     excluded_volume = float(np.sum(vol[mask]))
     total_volume = float(np.sum(vol))
     delta0 = field.delta if field.delta > 0 else 1e-2
     deltas = [delta0, delta0 / 2.0, delta0 / 4.0]
-    parts = _bulk_parts(field, hes, mask)
+    parts = _bulk_parts(field, hes, mask, volumes)
     bulks = [_bulk_integral(parts, d) for d in deltas]
     slacks = [lhs - bulk - corner for bulk in bulks]
     rep = richardson(slacks[1], slacks[2], 2.0, third_coarsest=slacks[0])

@@ -26,7 +26,11 @@ around the banded solves.  Every step solves once, for the correction
 G(u_k) - u_k = A~^-1 (b(u_k) - A u_k) from the current u_k (A~^-1 the
 factor's solve), the first from u_0 = the Dirichlet data, so its
 rounding shrinks with the correction and the fixed point is still
-exactly A u = b(u).
+exactly A u = b(u).  Every step applies A once, to G(u_k), for the
+step's linear residual.  A u_k is never applied: A is linear and u_k is
+the Anderson mix of earlier G's, so A u_k is the same mix of the A G's
+the steps kept.  The first step applies A to the Dirichlet data, and the
+last step's A G(u_k) gives the nonlinear residual.
 
 With K = 0 the equation is Delta u = 0 and the radial data make the
 solution exactly u = phi(s) cos(theta): x = cos(theta) is an eigenvector
@@ -176,20 +180,25 @@ def _source(coeffs: GridCoefficients, fld: AxisymField, delta):
 def _picard(operator: EllipticOperator, coeffs: GridCoefficients, boundary,
             opts: SolveOptions):
     """Anderson-mixed Picard from the Dirichlet data: the fixed point u,
-    max|G(u_k) - u_k| per step and the largest linear residual."""
-    u = boundary.copy()
+    A u, max|G(u_k) - u_k| per step and the largest linear residual.
+
+    A u_{k+1} = A G(u_k) - d(AG) gamma is carried along with the mix,
+    from the A G(u_k) each linear solve returns; only the first solve
+    applies A to its start, the Dirichlet data.
+    """
+    u, Au = boundary.copy(), None
     picard_changes = []
     residual = 0.0
-    hist_f, hist_g = [], []              # r_k and G(u_k), flattened
+    hist = []                    # (r_k, G(u_k), A G(u_k)), flattened
     for step in range(MAX_PICARD):
         # one solve of the correction from u (first: the boundary data)
         g, info = solve_linear_elliptic(
             operator,
             _source(coeffs, AxisymField(coeffs, u, delta=opts.delta),
                     opts.delta),
-            boundary, start=u)
+            boundary, start=u, applied=Au)
         residual = max(residual, info["residual"])
-        f, u = g - u, g
+        f, u, Au = g - u, g, info["applied"]
         change = float(np.max(np.abs(f)))
         picard_changes.append(change)
         if not np.isfinite(change):
@@ -197,16 +206,16 @@ def _picard(operator: EllipticOperator, coeffs: GridCoefficients, boundary,
                 f"Picard step {step + 1} left a fixed-point residual of "
                 f"{change!r}", picard_changes)
         if change <= opts.picard_tol * max(1.0, float(np.max(np.abs(g)))):
-            return u, picard_changes, residual
-        hist_f.append(f.ravel())
-        hist_g.append(g.ravel())
-        del hist_f[:-ANDERSON_DEPTH - 1], hist_g[:-ANDERSON_DEPTH - 1]
-        if len(hist_f) > 1:
-            # u_{k+1} = G(u_k) - dG gamma, gamma minimising |r_k - dF gamma|
-            dF = np.diff(hist_f, axis=0).T
-            dG = np.diff(hist_g, axis=0).T
+            return u, Au, picard_changes, residual
+        hist.append((f.ravel(), g.ravel(), Au.ravel()))
+        del hist[:-ANDERSON_DEPTH - 1]
+        if len(hist) > 1:
+            # u_{k+1} = G(u_k) - dG gamma, gamma minimising |r_k - dF gamma|,
+            # and A u_{k+1} the same mix of the A G(u_k)
+            dF, dG, dAG = (np.diff(h, axis=0).T for h in zip(*hist))
             gamma = np.linalg.lstsq(dF, f.ravel(), rcond=None)[0]
             u = g - (dG @ gamma).reshape(g.shape)
+            Au = Au - (dAG @ gamma).reshape(g.shape)
     raise PicardStagnationError(
         f"Picard stagnated after {MAX_PICARD} iterations (last "
         f"fixed-point residual {picard_changes[-1]:.3e})", picard_changes)
@@ -244,9 +253,10 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
         phi = operator.solve_l1(boundary[:, 0])
         u = np.where(operator.fixed, boundary, np.outer(phi, grid.x))
         picard_changes = [float(np.max(np.abs(u - boundary)))]
+        Au = operator.apply(u)
     else:
-        u, picard_changes, residual = _picard(operator, coeffs, boundary,
-                                              opts)
+        u, Au, picard_changes, residual = _picard(operator, coeffs,
+                                                  boundary, opts)
     # the field's |grad u|_delta, which the report divides by, overflows
     # (with K != 0 the Picard state already did)
     if not np.isfinite(opts.delta * opts.delta):
@@ -254,8 +264,9 @@ def solve_spacetime_harmonic(data: GluedDataSet, grid: AxisymGrid = None, *,
             f"|grad u|_delta overflows: delta = {opts.delta!r} has no "
             f"finite square", picard_changes)
     field = AxisymField(coeffs, u, delta=opts.delta)
-    # the discrete equation's residual max|A u - b(u)|
-    F = (operator.apply(u)
+    # the discrete equation's residual max|A u - b(u)|, A u carried out
+    # of the Picard loop when K != 0
+    F = (Au
          - operator.rhs(np.zeros_like(u) if k_zero
                         else _source(coeffs, field, opts.delta), boundary))
     if k_zero:

@@ -369,34 +369,39 @@ def band_lu(lower2, lower1, diag, upper1, upper2):
     arrays indexed by row (entries that would leave the matrix are zero).
 
     Eliminates row by row with whole-array operations over the systems,
-    on lists of row views.  Returns (l2, l1, u1, rpiv), each (n, K): the
-    multipliers of rows i - 2 and i - 1, U's first superdiagonal and the
-    reciprocal pivots (U's second superdiagonal is ``upper2`` itself).
-    Raises SingularFactorError at the first zero pivot.
+    on lists of row views, then tests every pivot at once.  Returns
+    (l2, l1, u1, rpiv), each (n, K): the multipliers of rows i - 2 and
+    i - 1, U's first superdiagonal and the reciprocal pivots (U's second
+    superdiagonal is ``upper2`` itself).  Raises SingularFactorError
+    naming the first row with a zero pivot; the rows after it, eliminated
+    against that pivot, are never read.
     """
     n, K = diag.shape
     l2, l1 = np.zeros((n, K)), np.zeros((n, K))
     u1, piv = np.empty((n, K)), np.empty((n, K))
     off = np.max(np.abs([lower2, lower1, upper1, upper2]), axis=0)
+    scale = np.maximum(off[:, None], np.abs(diag))
     L2, L1, U1, P, D = list(l2), list(l1), list(u1), list(piv), list(diag)
-    lo2, lo1, up1, up2, off = (np.asarray(c).tolist() for c in (
-        lower2, lower1, upper1, upper2, off))
-    for i in range(n):
-        a1, d, c1 = lo1[i], D[i], up1[i]
-        if lo2[i] != 0.0:
-            L2[i][:] = lo2[i] / P[i - 2]
-            a1 = a1 - L2[i] * U1[i - 2]
-            d = d - L2[i] * up2[i - 2]
-        if i:
-            L1[i][:] = a1 / P[i - 1]
-            d = d - L1[i] * U1[i - 1]
-            c1 = c1 - L1[i] * up2[i - 1]
-        scale = np.maximum(off[i], np.abs(D[i]))
-        if not np.all(np.abs(d) > _PIVOT_TOL * scale):
-            raise SingularFactorError(
-                f"zero pivot in row {i} of the radial mode systems")
-        P[i][:], U1[i][:] = d, c1
-    return l2, l1, u1, 1.0 / piv
+    lo2, lo1, up1, up2 = (np.asarray(c).tolist() for c in (
+        lower2, lower1, upper1, upper2))
+    with np.errstate(all="ignore"):
+        for i in range(n):
+            a1, d, c1 = lo1[i], D[i], up1[i]
+            if lo2[i] != 0.0:
+                L2[i][:] = lo2[i] / P[i - 2]
+                a1 = a1 - L2[i] * U1[i - 2]
+                d = d - L2[i] * up2[i - 2]
+            if i:
+                L1[i][:] = a1 / P[i - 1]
+                d = d - L1[i] * U1[i - 1]
+                c1 = c1 - L1[i] * up2[i - 1]
+            P[i][:], U1[i][:] = d, c1
+        rpiv = 1.0 / piv
+    bad = np.flatnonzero(~np.all(np.abs(piv) > _PIVOT_TOL * scale, axis=1))
+    if bad.size:
+        raise SingularFactorError(
+            f"zero pivot in row {bad[0]} of the radial mode systems")
+    return l2, l1, u1, rpiv
 
 
 def band_solve(factor, lower2, upper2, rhs):
@@ -720,7 +725,7 @@ class EllipticOperator:
 
 
 def solve_linear_elliptic(operator: EllipticOperator, source,
-                          boundary_values, start=None):
+                          boundary_values, start=None, applied=None):
     """Direct solve of the operator's equations for one source, as one
     correction from a field that holds the Dirichlet data.
 
@@ -728,20 +733,25 @@ def solve_linear_elliptic(operator: EllipticOperator, source,
     ``boundary_values`` the Dirichlet values at ``operator.fixed``; both
     are (N, M+1).  ``start`` (an (N, M+1) field, zero when not given)
     with its fixed nodes replaced by the Dirichlet values is u0, and the
-    result is u0 + A~^-1 (b - A u0), A~^-1 the factor's solve.  The
-    correction's right-hand side is zero at the fixed nodes, its rounding
-    (the transforms by V amplify it by up to cond(V)) scales with the
-    correction, and a fixed point is still exactly A u = b.  Returns
-    (u, info) with 'residual' = max|A u - b| from the matrix-free
+    result is u0 + A~^-1 (b - A u0), A~^-1 the factor's solve.  A u0 is
+    ``applied`` when given (the caller vouches that ``start`` already
+    holds the Dirichlet values and that ``applied`` is A of it), and one
+    matrix-free ``apply`` otherwise.  The correction's right-hand side is
+    zero at the fixed nodes, its rounding (the transforms by V amplify it
+    by up to cond(V)) scales with the correction, and a fixed point is
+    still exactly A u = b.  Returns (u, info) with 'applied' = A u from
     ``apply``, whose ring-0 rows read the centre value from u itself,
-    and 'sweeps' = 0 (a direct solve does no relaxation sweeps).
+    'residual' = max|A u - b| and 'sweeps' = 0 (a direct solve does no
+    relaxation sweeps).
     """
     b = operator.rhs(source, boundary_values)
     u = np.where(operator.fixed, boundary_values,
                  0.0 if start is None else start)
-    u += operator.solve(b - operator.apply(u))
-    residual = float(np.max(np.abs(operator.apply(u) - b)))
-    return u, {"sweeps": 0, "residual": residual}
+    u += operator.solve(b - (operator.apply(u) if applied is None
+                             else applied))
+    Au = operator.apply(u)
+    residual = float(np.max(np.abs(Au - b)))
+    return u, {"sweeps": 0, "residual": residual, "applied": Au}
 
 
 # ---------------------------------------------------------------------------

@@ -900,6 +900,33 @@ class TestRegress:
         assert rc == 0
         assert "FAIL" not in out
 
+    def test_golden_values_run_no_k_nonzero_solve(self, monkeypatch):
+        # no golden value reads a Picard solve: the Hessian's construction
+        # identity holds node by node, so it is checked on the K != 0
+        # grid's asymptote field, which must exercise the k terms
+        from cornermass import harmonic, numgrid
+        from cornermass.harmonic import solver
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a K != 0 solve ran")
+
+        monkeypatch.setattr(numgrid.EllipticOperator, "factor", refuse)
+        monkeypatch.setattr(solver, "_picard", refuse)
+        hessians = []
+        hessian = harmonic.spacetime_hessian
+        monkeypatch.setattr(harmonic, "spacetime_hessian", lambda fld:
+                            hessians.append((fld, hessian(fld)))
+                            or hessians[-1][1])
+        vals = cli.compute_golden_values()
+        golden = json.loads(cli._default_golden_path().read_text())
+        assert len(golden["values"]) == 19
+        for name, entry in golden["values"].items():
+            assert abs(vals[name] - entry["value"]) <= entry["tol"], name
+        (fld, hes), = hessians
+        assert np.any(fld.coeffs.K != 0.0)
+        for kk in (fld.coeffs.a, fld.coeffs.b):
+            assert np.max(hes.grad_norm * np.abs(kk)[:, None]) >= 1.0
+
     def test_perturbed_golden_fails_with_diff(self, tmp_path, capsys):
         src = json.loads(cli._default_golden_path().read_text())
         src["values"]["schwarzschild.E_flux"]["value"] = 1.5

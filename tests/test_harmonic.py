@@ -154,6 +154,42 @@ class TestSolver:
         assert linear["solves"] == steps
         assert linear["factor_floats"] > 0
 
+    def test_one_apply_per_picard_step(self, monkeypatch):
+        # A is linear and u_{k+1} mixes earlier G(u_k), so A u_{k+1} is
+        # carried, not applied: A runs on the Dirichlet data (in the first
+        # solve) and once per step on G(u_k), and the nonlinear residual
+        # reads the last one
+        import oracles
+        from cornermass import numgrid
+        from cornermass.harmonic import solver
+        applies, steps_seen = [], []
+        apply = numgrid.EllipticOperator.apply
+        solve = solver.solve_linear_elliptic
+
+        def counting_apply(self, u):
+            applies.append(1)
+            return apply(self, u)
+
+        def recording_solve(op, source, boundary, start=None, applied=None):
+            steps_seen.append((op, start.copy(), applied))
+            return solve(op, source, boundary, start=start, applied=applied)
+
+        monkeypatch.setattr(numgrid.EllipticOperator, "apply", counting_apply)
+        monkeypatch.setattr(solver, "solve_linear_elliptic", recording_solve)
+        data = scenario_build("hyperbolic_negschw")
+        fld = solve_spacetime_harmonic(data, n_r=32, n_theta=32, L=30.0)
+        steps = len(fld.diagnostics["picard_changes"])
+        assert steps > 2
+        assert len(applies) == steps + 1
+        assert len(steps_seen) == steps
+        (op, _, first), *later = steps_seen
+        assert first is None
+        row_sum = np.max(np.sum(np.abs(oracles.dense_operator(op)), axis=1))
+        for _, start, applied in later:
+            bound = 64.0 * np.finfo(float).eps * row_sum \
+                * np.max(np.abs(start))
+            assert np.max(np.abs(applied - apply(op, start))) <= bound
+
     def test_picard_contraction(self):
         # Anderson-mixed Picard need not shrink the fixed-point residual
         # at every step, but after a short transient each one is below
@@ -482,7 +518,8 @@ class TestSideArrays:
         rep = mass_bound_report(fld, adm)
         hes = spacetime_hessian(fld)
         mask = massbound.critical_mask(fld, hes)
-        parts = massbound._bulk_parts(fld, hes, mask)
+        parts = massbound._bulk_parts(fld, hes, mask,
+                                      massbound._side_volumes(fld))
         for k, (d, slack) in enumerate(rep.delta_sequence):
             want = oracles.bulk_integral_patched(fld, hes, d, mask)
             assert massbound._bulk_integral(parts, d) == want

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,23 @@ class TestSeparatedSolveOracle:
             assert np.array_equal(u[op.fixed], boundary[op.fixed])
         assert len(solves) == 2 and op.factorizations == 1
 
+    def test_applied_start_is_bit_identical(self):
+        # the caller's A of the start replaces the solve's own apply
+        _, op = self._operator("hyperbolic_negschw")
+        rng = np.random.default_rng(11)
+        source = rng.standard_normal(op.fixed.shape)
+        boundary = rng.standard_normal(op.fixed.shape)
+        start = np.where(op.fixed, boundary,
+                         rng.standard_normal(op.fixed.shape))
+        u, info = numgrid.solve_linear_elliptic(op, source, boundary,
+                                                start=start)
+        u_a, info_a = numgrid.solve_linear_elliptic(
+            op, source, boundary, start=start, applied=op.apply(start))
+        assert np.array_equal(u, u_a)
+        assert info["residual"] == info_a["residual"]
+        assert np.array_equal(info["applied"], info_a["applied"])
+        assert np.array_equal(info["applied"], op.apply(u))
+
 
 class TestOperatorRows:
     """The operator derives its boundary rows from the data: the outer
@@ -353,6 +372,27 @@ class TestBandRowViews:
             numgrid.band_solve(f.band, f.lower2, f.upper2, rhs),
             band_solve_indexed(f.band, f.lower2, f.upper2, rhs))
         assert np.any(f.lower2 != 0.0) and np.any(f.upper2 != 0.0)
+
+
+class TestBandLu:
+    @pytest.mark.parametrize("k", [0, 4, 9])
+    def test_zero_pivot_names_its_row(self, k):
+        # tridiagonal rows (1, 2, 1) from a first diagonal of 1 have every
+        # pivot exactly 1, so a diagonal of 1 at row k > 0 (0 at row 0)
+        # is an exact zero pivot there; the rows after it divide by it
+        n = 10
+        zero, one = np.zeros(n), np.ones(n)
+        diag = np.full((n, 3), 2.0)
+        diag[0] = 1.0
+        diag[k, 1] = 0.0 if k == 0 else 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularFactorError,
+                               match=rf"zero pivot in row {k} of"):
+                numgrid.band_lu(zero, one, diag, one, zero)
+            diag[k, 1] = diag[k, 0]
+            rpiv = numgrid.band_lu(zero, one, diag, one, zero)[3]
+        assert np.array_equal(rpiv, np.ones((n, 3)))
 
 
 class TestMirrorEig:

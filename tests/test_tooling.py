@@ -60,7 +60,7 @@ def test_tracer_reads_what_the_targets_return():
     result = solve_linear_elliptic(op, np.zeros_like(boundary), boundary)
     u, info = result
     assert u.shape == boundary.shape
-    assert set(info) == {"sweeps", "residual"}
+    assert set(info) == {"sweeps", "residual", "applied"}
     assert tracer._sweeps((), {}, result) == {"sweeps": 0}
     solve = inspect.signature(solve_spacetime_harmonic).parameters
     assert list(solve)[:2] == ["data", "grid"]
