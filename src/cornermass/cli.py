@@ -30,7 +30,6 @@ and ``run.n_theta`` by MAX_GRID, ``run.samples`` and the count of
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import json
 import math
@@ -178,7 +177,7 @@ def _scenario_from_config(cfg):
         raise ConfigError(f"run.topology_trivial must be true or false, "
                           f"not {topo!r}", field="run.topology_trivial")
     if topo != data.topology_trivial:
-        data = dataclasses.replace(data, topology_trivial=topo)
+        data = data.replace(topology_trivial=topo)
     return data
 
 
@@ -187,18 +186,19 @@ def _scenario_from_config(cfg):
 # ---------------------------------------------------------------------------
 
 _encode = json.encoder.encode_basestring_ascii
-_FIELD_KEYS = {}        # report dataclass -> its sorted (name, '"name": ')
+_FIELD_KEYS = {}        # record class -> its sorted (name, '"name": ')
 
 
 def _field_keys(cls):
     """(name, its JSON key and separator) for the sorted fields of a
-    dataclass; None for any other type."""
+    record, a class that names its fields in ``__slots__`` (its own and
+    its bases'); None for any other type."""
     try:
         return _FIELD_KEYS[cls]
     except KeyError:
-        keys = [(n, _encode(n) + ": ") for n in
-                sorted(f.name for f in dataclasses.fields(cls))] \
-            if dataclasses.is_dataclass(cls) else None
+        names = sorted(n for c in cls.__mro__
+                       for n in c.__dict__.get("__slots__", ()))
+        keys = [(n, _encode(n) + ": ") for n in names] if names else None
         _FIELD_KEYS[cls] = keys
         return keys
 
@@ -214,7 +214,7 @@ def _float_text(v):
 def _dump(obj, nl):
     """The JSON text of a report value, indented by two spaces with sorted
     keys; ``nl`` is a newline plus the indentation of the line the value
-    starts on.  Dataclasses are written field by field, arrays of more
+    starts on.  Records are written field by field, arrays of more
     than 64 elements as {n, min, max} (``_float_text`` numbers), other
     arrays as lists, other non-finite floats as their repr string and
     keys as strings."""
@@ -292,6 +292,7 @@ def cmd_constraints(cfg, args):
                       need=f"an integer in [2, {MAX_ROWS}]")
     tol = _number(cfg, "run.dec_tolerance", 1e-8, ok=lambda t: t >= 0,
                   need="a number >= 0")
+    _direction(cfg)         # read by no constraint, refused as in massbound
     per_patch = []
     ok = True
     for patch in data.patches:
@@ -344,10 +345,14 @@ def _massbound_run_keys(cfg, data):
         except ValueError as exc:
             raise ConfigError(f"run.r_inner = {r_inner!r}: {exc}",
                               field="run.r_inner")
-    direction = _number(cfg, "run.direction", 1, kind=int,
-                        ok=lambda d: d in (1, -1),
-                        need="1 or -1 (the +z or -z asymptote)")
-    return resolutions, n_theta, L, r_inner, direction
+    return resolutions, n_theta, L, r_inner, _direction(cfg)
+
+
+def _direction(cfg):
+    """``run.direction``, the asymptote +-rho cos(theta): 1 or -1."""
+    return _number(cfg, "run.direction", 1, kind=int,
+                   ok=lambda d: d in (1, -1),
+                   need="1 or -1 (the +z or -z asymptote)")
 
 
 def cmd_massbound(cfg, args):

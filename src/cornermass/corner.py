@@ -14,7 +14,6 @@ on the round boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -33,7 +32,6 @@ from .numgrid import ScalarProfile
 _TILE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
 class CornerInterface:
     """Both-sided data on one corner sphere.
 
@@ -43,11 +41,16 @@ class CornerInterface:
     boundary-data-driven scenarios can exercise it.
     """
 
-    r_c: float
-    H_minus: float
-    H_plus: float
-    omega_minus: Tuple[float, float]
-    omega_plus: Tuple[float, float]
+    __slots__ = ("r_c", "H_minus", "H_plus", "omega_minus", "omega_plus")
+
+    def __init__(self, r_c: float, H_minus: float, H_plus: float,
+                 omega_minus: Tuple[float, float],
+                 omega_plus: Tuple[float, float]):
+        self.r_c = r_c
+        self.H_minus = H_minus
+        self.H_plus = H_plus
+        self.omega_minus = omega_minus
+        self.omega_plus = omega_plus
 
     @property
     def omega_jump_norm(self):
@@ -61,7 +64,6 @@ class CornerInterface:
         return (self.H_minus - self.H_plus) - self.omega_jump_norm
 
 
-@dataclass(frozen=True)
 class IsotropicChart:
     """Isotropic chart of Schwarzschild of mass ``mass``, continued to the
     coordinate ``s_min``.
@@ -73,8 +75,11 @@ class IsotropicChart:
     sphere and truncates at a weakly trapped sphere in the second sheet.
     """
 
-    s_min: float
-    mass: float = 1.0
+    __slots__ = ("s_min", "mass")
+
+    def __init__(self, s_min: float, mass: float = 1.0):
+        self.s_min = s_min
+        self.mass = mass
 
 
 def areal_sigma(m, r):
@@ -82,20 +87,35 @@ def areal_sigma(m, r):
     return 0.5 * (r - m + np.sqrt(r * (r - 2.0 * m)))
 
 
-@dataclass(frozen=True)
 class GluedDataSet:
-    """Ordered radial patches joined at corner radii plus end metadata."""
+    """Ordered radial patches joined at corner radii plus end metadata.
 
-    patches: Tuple[RadialPatch, ...]
-    interfaces: Tuple[CornerInterface, ...]
-    asymptotically_flat: bool = True
-    topology_trivial: bool = True      # user-asserted H_2(M_ext, S) = 0 stand-in
-    name: str = "custom"
-    expectations: Dict[str, float] = field(default_factory=dict)
-    chart: Optional[IsotropicChart] = None   # no corners, no centre
-    has_center: bool = False           # innermost patch reaches r = 0 smoothly
+    The constructor checks the data: an isotropic chart carries no corner
+    or centre, the patches tile, and the outermost one decays.
+    ``replace`` builds a changed copy through the same checks.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("patches", "interfaces", "asymptotically_flat",
+                 "topology_trivial", "name", "expectations", "chart",
+                 "has_center")
+
+    def __init__(self, patches: Tuple[RadialPatch, ...],
+                 interfaces: Tuple[CornerInterface, ...],
+                 asymptotically_flat: bool = True,
+                 topology_trivial: bool = True,
+                 name: str = "custom",
+                 expectations: Optional[Dict[str, float]] = None,
+                 chart: Optional[IsotropicChart] = None,
+                 has_center: bool = False):
+        self.patches = patches
+        self.interfaces = interfaces
+        self.asymptotically_flat = asymptotically_flat
+        # user-asserted H_2(M_ext, S) = 0 stand-in
+        self.topology_trivial = topology_trivial
+        self.name = name
+        self.expectations = {} if expectations is None else expectations
+        self.chart = chart                 # no corners, no centre
+        self.has_center = has_center       # innermost patch reaches r = 0
         if self.chart is not None and (self.interfaces or self.has_center):
             raise ValueError("an isotropic chart has no corner and no "
                              "smooth centre")
@@ -114,6 +134,12 @@ class GluedDataSet:
                 if q_obs < 0.5:
                     raise ValueError(
                         f"outermost patch decays too slowly (q ~ {q_obs:.3f})")
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, checked like a new data set."""
+        kw = {name: getattr(self, name) for name in self.__slots__}
+        kw.update(changes)
+        return GluedDataSet(**kw)
 
     # -- lookup ---------------------------------------------------------
 

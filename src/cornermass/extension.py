@@ -23,7 +23,6 @@ this closed form; the tests integrate the ODE by RK4 as its oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -50,18 +49,24 @@ DEFORM_STEPS = 6000
 # Quasispherical extension (round case)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ExtensionResult:
-    r0: float
-    lapse0: float                   # u(0) = H0 / H_eff = 1/sqrt(f0)
-    f_profile: ScalarProfile
-    radii: np.ndarray
-    f_samples: np.ndarray
-    q_samples: np.ndarray
-    E_ext: float                    # exact boundary evaluation (r0/2)(1 - f0)
-    E_ext_far: float                # extrapolated (r/2)(1 - f) limit
-    q_limit: float                  # extrapolated Q limit
-    patch: RadialPatch
+    __slots__ = ("r0", "lapse0", "f_profile", "radii", "f_samples",
+                 "q_samples", "E_ext", "E_ext_far", "q_limit", "patch")
+
+    def __init__(self, r0: float, lapse0: float, f_profile: ScalarProfile,
+                 radii: np.ndarray, f_samples: np.ndarray,
+                 q_samples: np.ndarray, E_ext: float, E_ext_far: float,
+                 q_limit: float, patch: RadialPatch):
+        self.r0 = r0
+        self.lapse0 = lapse0          # u(0) = H0 / H_eff = 1/sqrt(f0)
+        self.f_profile = f_profile
+        self.radii = radii
+        self.f_samples = f_samples
+        self.q_samples = q_samples
+        self.E_ext = E_ext            # exact boundary value (r0/2)(1 - f0)
+        self.E_ext_far = E_ext_far    # extrapolated (r/2)(1 - f) limit
+        self.q_limit = q_limit        # extrapolated Q limit
+        self.patch = patch
 
     @property
     def q_boundary(self):
@@ -112,13 +117,17 @@ def q_monotone_violation(result: ExtensionResult) -> float:
 # Quasilocal pipeline: boundary data -> W, matched extension, zero jump
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PipelineResult:
-    quasilocal: QuasilocalReport
-    extension: ExtensionResult
-    corner_jump: float
-    W: float
-    E_ext: float
+    __slots__ = ("quasilocal", "extension", "corner_jump", "W", "E_ext")
+
+    def __init__(self, quasilocal: QuasilocalReport,
+                 extension: ExtensionResult, corner_jump: float, W: float,
+                 E_ext: float):
+        self.quasilocal = quasilocal
+        self.extension = extension
+        self.corner_jump = corner_jump
+        self.W = W
+        self.E_ext = E_ext
 
     @property
     def chain_ok(self):
@@ -154,15 +163,19 @@ def quasilocal_pipeline(r0, H, omega_nn=0.0, omega_tan=0.0) -> PipelineResult:
 # Fill-in certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CertificateVerdict:
-    r0: float
-    H: float
-    bartnik_f: float                 # sqrt((tr alpha)^2 + |beta|^2)
-    E_ext: float
-    verdict: str                     # 'no-DEC-fill-in' | 'inconclusive'
-    margin: float
-    threshold: float                 # H - f must exceed 2/r0 for a certificate
+    __slots__ = ("r0", "H", "bartnik_f", "E_ext", "verdict", "margin",
+                 "threshold")
+
+    def __init__(self, r0: float, H: float, bartnik_f: float, E_ext: float,
+                 verdict: str, margin: float, threshold: float):
+        self.r0 = r0
+        self.H = H
+        self.bartnik_f = bartnik_f    # sqrt((tr alpha)^2 + |beta|^2)
+        self.E_ext = E_ext
+        self.verdict = verdict        # 'no-DEC-fill-in' | 'inconclusive'
+        self.margin = margin
+        self.threshold = threshold    # H - f must exceed 2/r0 to certify
 
     @property
     def certified(self):
@@ -229,19 +242,25 @@ def _blend_profiles(p_minus: ScalarProfile, p_plus: ScalarProfile, r_c,
     return ScalarProfile(val, d1)
 
 
-@dataclass(frozen=True)
 class MollifyRecord:
-    delta: float
-    lipschitz_seminorm: float       # sup |f'| over the collar
-    sup_k: float                    # sup of |a|, |b| over the collar
-    inf_R: float
+    __slots__ = ("delta", "lipschitz_seminorm", "sup_k", "inf_R")
+
+    def __init__(self, delta: float, lipschitz_seminorm: float, sup_k: float,
+                 inf_R: float):
+        self.delta = delta
+        self.lipschitz_seminorm = lipschitz_seminorm   # sup |f'| on the collar
+        self.sup_k = sup_k            # sup of |a|, |b| over the collar
+        self.inf_R = inf_R
 
 
-@dataclass(frozen=True)
 class MollifyReport:
-    records: Tuple[MollifyRecord, ...]
-    curvature_blowup: bool
-    lipschitz_bounded: bool
+    __slots__ = ("records", "curvature_blowup", "lipschitz_bounded")
+
+    def __init__(self, records: Tuple[MollifyRecord, ...],
+                 curvature_blowup: bool, lipschitz_bounded: bool):
+        self.records = records
+        self.curvature_blowup = curvature_blowup
+        self.lipschitz_bounded = lipschitz_bounded
 
 
 def mollify_corner(data: GluedDataSet, interface_index: int, delta: float):
@@ -325,17 +344,22 @@ def mollified_data(data: GluedDataSet, interface_index: int,
 # Conformal deformation (radial)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class DeformationResult:
-    factor_radii: np.ndarray
-    factor: np.ndarray               # u >= 1 samples
-    A: float                         # leading far-field coefficient
-    A_flux: float                    # cross-check from the conserved flux
-    m_base: float
-    m_hat: float
-    b_norm_l32: float
-    solve_ok: bool
-    min_deformed_R: float            # min of u^-4 (R + b) where b > 0
+    __slots__ = ("factor_radii", "factor", "A", "A_flux", "m_base", "m_hat",
+                 "b_norm_l32", "solve_ok", "min_deformed_R")
+
+    def __init__(self, factor_radii: np.ndarray, factor: np.ndarray, A: float,
+                 A_flux: float, m_base: float, m_hat: float,
+                 b_norm_l32: float, solve_ok: bool, min_deformed_R: float):
+        self.factor_radii = factor_radii
+        self.factor = factor          # u >= 1 samples
+        self.A = A                    # leading far-field coefficient
+        self.A_flux = A_flux          # cross-check from the conserved flux
+        self.m_base = m_base
+        self.m_hat = m_hat
+        self.b_norm_l32 = b_norm_l32
+        self.solve_ok = solve_ok
+        self.min_deformed_R = min_deformed_R   # min of u^-4 (R + b), b > 0
 
 
 def _b_source(data: GluedDataSet, r):

@@ -22,7 +22,6 @@ the momentum current points along the outward radial normal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
@@ -31,18 +30,19 @@ from .numgrid import ScalarProfile
 _CENTER_TOL = 1e-8
 
 
-@dataclass(frozen=True)
 class RadialPatch:
     """One smooth rotationally symmetric data patch on a radius interval."""
 
-    f: ScalarProfile
-    a: ScalarProfile
-    b: ScalarProfile
-    r_in: float
-    r_out: float
-    label: str = ""
+    __slots__ = ("f", "a", "b", "r_in", "r_out", "label")
 
-    def __post_init__(self):
+    def __init__(self, f: ScalarProfile, a: ScalarProfile, b: ScalarProfile,
+                 r_in: float, r_out: float, label: str = ""):
+        self.f = f
+        self.a = a
+        self.b = b
+        self.r_in = r_in
+        self.r_out = r_out
+        self.label = label
         if self.r_in < 0:
             raise ValueError("r_in must be >= 0")
         if self.r_out <= self.r_in:
@@ -94,44 +94,54 @@ class RadialPatch:
         return self.av(r) + 2.0 * self.bv(r)
 
 
-@dataclass(frozen=True)
 class ConstraintSample:
-    radius: float
-    R: float
-    mu: float
-    J_radial: float
+    __slots__ = ("radius", "R", "mu", "J_radial")
+
+    def __init__(self, radius: float, R: float, mu: float, J_radial: float):
+        self.radius = radius
+        self.R = R
+        self.mu = mu
+        self.J_radial = J_radial
 
     @property
     def dec_margin(self):
         return float(dec_margin(self.mu, self.J_radial))
 
 
-@dataclass(frozen=True)
 class MomentumTensorSample:
-    radius: float
-    pi_nn: float
-    pi_tan: float
-    tr_k: float
-    tr_sigma_k: float
+    __slots__ = ("radius", "pi_nn", "pi_tan", "tr_k", "tr_sigma_k")
+
+    def __init__(self, radius: float, pi_nn: float, pi_tan: float,
+                 tr_k: float, tr_sigma_k: float):
+        self.radius = radius
+        self.pi_nn = pi_nn
+        self.pi_tan = pi_tan
+        self.tr_k = tr_k
+        self.tr_sigma_k = tr_sigma_k
 
 
-@dataclass(frozen=True)
 class NullExpansions:
-    radius: float
-    theta_plus: float
-    theta_minus: float
+    __slots__ = ("radius", "theta_plus", "theta_minus")
+
+    def __init__(self, radius: float, theta_plus: float, theta_minus: float):
+        self.radius = radius
+        self.theta_plus = theta_plus
+        self.theta_minus = theta_minus
 
     @property
     def weakly_outer_trapped(self):
         return self.theta_plus <= 0.0
 
 
-@dataclass(frozen=True)
 class DecReport:
-    min_margin: float
-    radius_of_min: float
-    samples: int
-    tolerance: float
+    __slots__ = ("min_margin", "radius_of_min", "samples", "tolerance")
+
+    def __init__(self, min_margin: float, radius_of_min: float, samples: int,
+                 tolerance: float):
+        self.min_margin = min_margin
+        self.radius_of_min = radius_of_min
+        self.samples = samples
+        self.tolerance = tolerance
 
     @property
     def verdict(self):

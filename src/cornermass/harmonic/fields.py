@@ -34,7 +34,6 @@ and the spacetime Hessian adds |grad u| k = |grad u| diag(a, b, b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -196,22 +195,28 @@ class DerivativeStencils:
 # Chart coefficients sampled on a grid
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SideCoefficients:
     """Chart and matter arrays on the radial nodes, with one side's limit
     at the corner rings: lam, lam', sqrt(lam), rho, rho', the extrinsic
     curvature components a and b, K = tr k, mu and J(e_s)."""
 
-    lam: np.ndarray
-    lamp: np.ndarray
-    sqlam: np.ndarray
-    rho: np.ndarray
-    rhop: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    K: np.ndarray
-    mu: np.ndarray
-    Jn: np.ndarray
+    __slots__ = ("lam", "lamp", "sqlam", "rho", "rhop", "a", "b", "K", "mu",
+                 "Jn")
+
+    def __init__(self, lam: np.ndarray, lamp: np.ndarray, sqlam: np.ndarray,
+                 rho: np.ndarray, rhop: np.ndarray, a: np.ndarray,
+                 b: np.ndarray, K: np.ndarray, mu: np.ndarray,
+                 Jn: np.ndarray):
+        self.lam = lam
+        self.lamp = lamp
+        self.sqlam = sqlam
+        self.rho = rho
+        self.rhop = rhop
+        self.a = a
+        self.b = b
+        self.K = K
+        self.mu = mu
+        self.Jn = Jn
 
     @property
     def volume_density(self):
@@ -219,7 +224,6 @@ class SideCoefficients:
         return self.sqlam * self.rho * self.rho
 
 
-@dataclass
 class GridCoefficients(SideCoefficients):
     """Chart and matter data on the grid nodes, one whole array per side
     of the corners: the inherited arrays hold the minus-side limit at
@@ -231,16 +235,23 @@ class GridCoefficients(SideCoefficients):
     areal f is 1/lam.
     """
 
-    data: GluedDataSet
-    grid: AxisymGrid
-    chart: str
-    segments: List[Tuple[int, int]]
-    corner_indices: List[int]
-    plus: SideCoefficients
-    stencils: DerivativeStencils = field(init=False, repr=False)
+    __slots__ = ("data", "grid", "chart", "segments", "corner_indices",
+                 "plus", "stencils")
 
-    def __post_init__(self):
-        self.stencils = DerivativeStencils(self.grid, self.segments)
+    def __init__(self, lam: np.ndarray, lamp: np.ndarray, sqlam: np.ndarray,
+                 rho: np.ndarray, rhop: np.ndarray, a: np.ndarray,
+                 b: np.ndarray, K: np.ndarray, mu: np.ndarray,
+                 Jn: np.ndarray, data: GluedDataSet, grid: AxisymGrid,
+                 chart: str, segments: List[Tuple[int, int]],
+                 corner_indices: List[int], plus: SideCoefficients):
+        super().__init__(lam, lamp, sqlam, rho, rhop, a, b, K, mu, Jn)
+        self.data = data
+        self.grid = grid
+        self.chart = chart
+        self.segments = segments
+        self.corner_indices = corner_indices
+        self.plus = plus
+        self.stencils = DerivativeStencils(grid, segments)
 
     def side(self, side):
         """The coefficients with the ``side`` ('minus' or 'plus') limit at
@@ -422,7 +433,6 @@ class AxisymField:
                    self.grad_norm_plain()))
 
 
-@dataclass
 class SpacetimeHessianField:
     """Orthonormal components of the spacetime Hessian and its square.
 
@@ -432,11 +442,16 @@ class SpacetimeHessianField:
     ``plus_norm_sq`` is |sHu|^2 with the plus-side limit there.
     """
 
-    pure: Dict[str, np.ndarray]
-    full: Dict[str, np.ndarray]
-    grad_norm: np.ndarray
-    norm_sq: np.ndarray
-    plus_norm_sq: np.ndarray
+    __slots__ = ("pure", "full", "grad_norm", "norm_sq", "plus_norm_sq")
+
+    def __init__(self, pure: Dict[str, np.ndarray],
+                 full: Dict[str, np.ndarray], grad_norm: np.ndarray,
+                 norm_sq: np.ndarray, plus_norm_sq: np.ndarray):
+        self.pure = pure
+        self.full = full
+        self.grad_norm = grad_norm
+        self.norm_sq = norm_sq
+        self.plus_norm_sq = plus_norm_sq
 
 
 def _side_hessian(field: AxisymField, side):

@@ -31,7 +31,6 @@ chi equal to the number of generator endpoints on the axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -52,16 +51,22 @@ CRITICAL_GRAD = 1e-6
 # Boundary formula on one sphere
 # ---------------------------------------------------------------------------
 
-@dataclass
 class BoundaryFormulaReport:
-    r_c: float
-    lhs: float
-    rhs: float
-    harmonic_defect: float
-    terms: Dict[str, float]
-    max_pointwise: float
-    excluded_measure: float
-    excluded_flagged: bool
+    __slots__ = ("r_c", "lhs", "rhs", "harmonic_defect", "terms",
+                 "max_pointwise", "excluded_measure", "excluded_flagged")
+
+    def __init__(self, r_c: float, lhs: float, rhs: float,
+                 harmonic_defect: float, terms: Dict[str, float],
+                 max_pointwise: float, excluded_measure: float,
+                 excluded_flagged: bool):
+        self.r_c = r_c
+        self.lhs = lhs
+        self.rhs = rhs
+        self.harmonic_defect = harmonic_defect
+        self.terms = terms
+        self.max_pointwise = max_pointwise
+        self.excluded_measure = excluded_measure
+        self.excluded_flagged = excluded_flagged
 
     @property
     def residual(self):
@@ -203,19 +208,26 @@ def boundary_formula_check(field: AxisymField, r_c,
 # Integral formula on an annulus (or ball) region
 # ---------------------------------------------------------------------------
 
-@dataclass
 class IntegralFormulaReport:
-    r_lo: Optional[float]
-    r_hi: float
-    lhs: float
-    rhs: float
-    defect: float
-    boundary_flux: float
-    k_flux: float
-    chi_integral: float
-    kappa_boundary: float
-    excluded_measure: float
-    flagged_bins: int
+    __slots__ = ("r_lo", "r_hi", "lhs", "rhs", "defect", "boundary_flux",
+                 "k_flux", "chi_integral", "kappa_boundary",
+                 "excluded_measure", "flagged_bins")
+
+    def __init__(self, r_lo: Optional[float], r_hi: float, lhs: float,
+                 rhs: float, defect: float, boundary_flux: float,
+                 k_flux: float, chi_integral: float, kappa_boundary: float,
+                 excluded_measure: float, flagged_bins: int):
+        self.r_lo = r_lo
+        self.r_hi = r_hi
+        self.lhs = lhs
+        self.rhs = rhs
+        self.defect = defect
+        self.boundary_flux = boundary_flux
+        self.k_flux = k_flux
+        self.chi_integral = chi_integral
+        self.kappa_boundary = kappa_boundary
+        self.excluded_measure = excluded_measure
+        self.flagged_bins = flagged_bins
 
     @property
     def residual(self):

@@ -18,7 +18,6 @@ traces the energy deficit to the corner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,22 +33,37 @@ from .solver import SolveOptions, solve_spacetime_harmonic
 CRITICAL_CELLS = 2.0
 
 
-@dataclass
 class MassBoundReport:
-    direction: int
-    lhs: float
-    bulk: float
-    corner: float
-    delta_sequence: Tuple[Tuple[float, float], ...]   # (delta, slack)
-    slack_extrapolated: float
-    corner_hypothesis_violated: bool
-    corner_jumps: Tuple[float, ...]
-    outer_truncation_scale: float
-    grid_shape: Tuple[int, int]
-    truncation: float
-    grid_convergence: Optional[ConvergenceReport] = None
-    epsilon_grid: Optional[float] = None
-    diagnostics: Dict = field(default_factory=dict)
+    __slots__ = ("direction", "lhs", "bulk", "corner", "delta_sequence",
+                 "slack_extrapolated", "corner_hypothesis_violated",
+                 "corner_jumps", "outer_truncation_scale", "grid_shape",
+                 "truncation", "grid_convergence", "epsilon_grid",
+                 "diagnostics")
+
+    def __init__(self, direction: int, lhs: float, bulk: float,
+                 corner: float,
+                 delta_sequence: Tuple[Tuple[float, float], ...],
+                 slack_extrapolated: float, corner_hypothesis_violated: bool,
+                 corner_jumps: Tuple[float, ...],
+                 outer_truncation_scale: float, grid_shape: Tuple[int, int],
+                 truncation: float,
+                 grid_convergence: Optional[ConvergenceReport] = None,
+                 epsilon_grid: Optional[float] = None,
+                 diagnostics: Optional[Dict] = None):
+        self.direction = direction
+        self.lhs = lhs
+        self.bulk = bulk
+        self.corner = corner
+        self.delta_sequence = delta_sequence      # (delta, slack)
+        self.slack_extrapolated = slack_extrapolated
+        self.corner_hypothesis_violated = corner_hypothesis_violated
+        self.corner_jumps = corner_jumps
+        self.outer_truncation_scale = outer_truncation_scale
+        self.grid_shape = grid_shape
+        self.truncation = truncation
+        self.grid_convergence = grid_convergence
+        self.epsilon_grid = epsilon_grid
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     @property
     def slack(self):

@@ -56,8 +56,6 @@ boundary for the mass inequality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..corner import GluedDataSet
@@ -75,11 +73,14 @@ ANDERSON_DEPTH = 3
 MAX_PICARD = 60
 
 
-@dataclass
 class SolveOptions:
-    delta: float = 1e-2
-    direction: int = +1              # asymptote +- rho cos(theta)
-    picard_tol: float = 1e-9
+    __slots__ = ("delta", "direction", "picard_tol")
+
+    def __init__(self, delta: float = 1e-2, direction: int = +1,
+                 picard_tol: float = 1e-9):
+        self.delta = delta
+        self.direction = direction    # asymptote +- rho cos(theta)
+        self.picard_tol = picard_tol
 
 
 def _assemble_operator(coeffs: GridCoefficients) -> EllipticOperator:

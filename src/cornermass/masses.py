@@ -18,7 +18,6 @@ H0 = 2/r0, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,16 +37,24 @@ DEC_TOLERANCE = 1e-8
 # ADM energy-momentum
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class AdmResult:
-    E: float
-    P: Tuple[float, float, float]
-    mass: Optional[float]
-    flux_samples: Tuple[Tuple[float, float], ...]   # (r, E_flux(r))
-    misner_sharp_samples: Tuple[Tuple[float, float], ...]
-    misner_sharp: float
-    convergence: ConvergenceReport
-    flags: Tuple[str, ...] = ()
+    __slots__ = ("E", "P", "mass", "flux_samples", "misner_sharp_samples",
+                 "misner_sharp", "convergence", "flags")
+
+    def __init__(self, E: float, P: Tuple[float, float, float],
+                 mass: Optional[float],
+                 flux_samples: Tuple[Tuple[float, float], ...],
+                 misner_sharp_samples: Tuple[Tuple[float, float], ...],
+                 misner_sharp: float, convergence: ConvergenceReport,
+                 flags: Tuple[str, ...] = ()):
+        self.E = E
+        self.P = P
+        self.mass = mass
+        self.flux_samples = flux_samples            # (r, E_flux(r))
+        self.misner_sharp_samples = misner_sharp_samples
+        self.misner_sharp = misner_sharp
+        self.convergence = convergence
+        self.flags = flags
 
     @property
     def P_norm(self):
@@ -150,19 +157,25 @@ def hawking_mass(data: GluedDataSet, r, side="auto") -> float:
 # Quasilocal masses on round boundaries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class QuasilocalReport:
-    r0: float
-    H: float
-    tr_sigma_k: float
-    omega_abs: float
-    H0: float
-    W: float
-    m_BY: float
-    m_LY: Optional[float]
-    m_H: float
-    hypothesis_H_gt_omega: bool
-    hypothesis_H_gt_trk: bool
+    __slots__ = ("r0", "H", "tr_sigma_k", "omega_abs", "H0", "W", "m_BY",
+                 "m_LY", "m_H", "hypothesis_H_gt_omega", "hypothesis_H_gt_trk")
+
+    def __init__(self, r0: float, H: float, tr_sigma_k: float,
+                 omega_abs: float, H0: float, W: float, m_BY: float,
+                 m_LY: Optional[float], m_H: float,
+                 hypothesis_H_gt_omega: bool, hypothesis_H_gt_trk: bool):
+        self.r0 = r0
+        self.H = H
+        self.tr_sigma_k = tr_sigma_k
+        self.omega_abs = omega_abs
+        self.H0 = H0
+        self.W = W
+        self.m_BY = m_BY
+        self.m_LY = m_LY
+        self.m_H = m_H
+        self.hypothesis_H_gt_omega = hypothesis_H_gt_omega
+        self.hypothesis_H_gt_trk = hypothesis_H_gt_trk
 
 
 def quasilocal_round(r0, H, tr_sigma_k, omega_tan=0.0):
@@ -205,11 +218,13 @@ def quasilocal(data: GluedDataSet, r0, side="auto",
 # Minimal spheres
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class MinimalSphere:
-    coordinate: float      # chart coordinate of the root (isotropic s, or r)
-    areal_radius: float
-    area: float
+    __slots__ = ("coordinate", "areal_radius", "area")
+
+    def __init__(self, coordinate: float, areal_radius: float, area: float):
+        self.coordinate = coordinate   # chart coordinate of the root (s or r)
+        self.areal_radius = areal_radius
+        self.area = area
 
 
 def minimal_sphere(data: GluedDataSet) -> Optional[MinimalSphere]:
@@ -233,18 +248,28 @@ def minimal_sphere(data: GluedDataSet) -> Optional[MinimalSphere]:
 # Hull comparison and localized Penrose check
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ComparisonReport:
-    applicable: bool
-    reasons: Tuple[str, ...]
-    per_radius: Tuple[Tuple[float, float, bool, float], ...]  # (r, m_H, ok, margin)
-    penrose_ok: Optional[bool]
-    penrose_margin: Optional[float]
-    minimal: Optional[MinimalSphere]
-    k_norm_l32: float
-    k_norm_l65: float
-    dec_min_margin: float
-    omega_identically_zero: bool = False   # recorded, never gating
+    __slots__ = ("applicable", "reasons", "per_radius", "penrose_ok",
+                 "penrose_margin", "minimal", "k_norm_l32", "k_norm_l65",
+                 "dec_min_margin", "omega_identically_zero")
+
+    def __init__(self, applicable: bool, reasons: Tuple[str, ...],
+                 per_radius: Tuple[Tuple[float, float, bool, float], ...],
+                 penrose_ok: Optional[bool], penrose_margin: Optional[float],
+                 minimal: Optional[MinimalSphere], k_norm_l32: float,
+                 k_norm_l65: float, dec_min_margin: float,
+                 omega_identically_zero: bool = False):
+        self.applicable = applicable
+        self.reasons = reasons
+        self.per_radius = per_radius          # (r, m_H, ok, margin)
+        self.penrose_ok = penrose_ok
+        self.penrose_margin = penrose_margin
+        self.minimal = minimal
+        self.k_norm_l32 = k_norm_l32
+        self.k_norm_l65 = k_norm_l65
+        self.dec_min_margin = dec_min_margin
+        # recorded, never gating
+        self.omega_identically_zero = omega_identically_zero
 
     @property
     def all_ok(self):

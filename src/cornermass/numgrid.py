@@ -30,8 +30,6 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import IntegrationDivergedError, SingularFactorError
@@ -123,7 +121,6 @@ def lagrange_weights(nodes, z):
 # Axisymmetric grid
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class AxisymGrid:
     """Tensor grid (r_i, theta_j) with uniform theta on [0, pi].
 
@@ -134,14 +131,14 @@ class AxisymGrid:
     x : cos(theta), made exactly odd under theta -> pi - theta
         (x[::-1] == -x, within an ulp of cos(theta)); angular stencils
         act on this (nonuniform) variable.
+    n_r, n_theta : the node counts N and M+1.
     """
 
-    r: np.ndarray
-    theta: np.ndarray
+    __slots__ = ("r", "theta", "x", "n_r", "n_theta")
 
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        th = np.asarray(self.theta, dtype=float)
+    def __init__(self, r: np.ndarray, theta: np.ndarray):
+        r = np.asarray(r, dtype=float)
+        th = np.asarray(theta, dtype=float)
         if r.size < 8 or th.size < 9:
             raise ValueError("grid too small: need N >= 8, M >= 8")
         if np.any(np.diff(r) <= 0):
@@ -149,12 +146,12 @@ class AxisymGrid:
         if th[0] != 0.0 or abs(th[-1] - np.pi) > 1e-15 or np.any(
                 np.abs(np.diff(th) - (np.pi / (th.size - 1))) > 1e-12):
             raise ValueError("theta must be uniform on [0, pi] incl. endpoints")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "theta", th)
+        self.r = r
+        self.theta = th
         c = np.cos(th)
-        object.__setattr__(self, "x", 0.5 * (c - c[::-1]))
-        object.__setattr__(self, "n_r", r.size)
-        object.__setattr__(self, "n_theta", th.size)
+        self.x = 0.5 * (c - c[::-1])
+        self.n_r = r.size
+        self.n_theta = th.size
 
     @classmethod
     def build(cls, r_nodes, n_theta_cells):
@@ -226,7 +223,6 @@ def _gauss_legendre(n):
 # Richardson extrapolation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ConvergenceReport:
     """Two-resolution extrapolation record.
 
@@ -237,13 +233,19 @@ class ConvergenceReport:
     refinement ratio h_coarse / h_fine of the pair.
     """
 
-    coarse: float
-    fine: float
-    extrapolated: float
-    observed_order: float
-    assumed_order: float
-    degenerate: bool = False
-    ratio: float = 2.0
+    __slots__ = ("coarse", "fine", "extrapolated", "observed_order",
+                 "assumed_order", "degenerate", "ratio")
+
+    def __init__(self, coarse: float, fine: float, extrapolated: float,
+                 observed_order: float, assumed_order: float,
+                 degenerate: bool = False, ratio: float = 2.0):
+        self.coarse = coarse
+        self.fine = fine
+        self.extrapolated = extrapolated
+        self.observed_order = observed_order
+        self.assumed_order = assumed_order
+        self.degenerate = degenerate
+        self.ratio = ratio
 
 
 def richardson(coarse, fine, p, third_coarsest=None, ratio=2.0,

@@ -43,7 +43,7 @@ copies with their corner rows patched.
 """
 
 import csv
-import dataclasses
+import inspect
 import json
 import math
 
@@ -316,9 +316,9 @@ def _jsonable(obj):
     if isinstance(obj, (float, np.floating)):
         v = float(obj)
         return v if math.isfinite(v) else repr(v)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
+    if type(obj).__module__.partition(".")[0] == "cornermass":
+        return {name: _jsonable(getattr(obj, name))
+                for name in inspect.signature(type(obj)).parameters}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -337,9 +337,9 @@ def _jsonable(obj):
 
 def envelope_json(envelope):
     """The JSON text of a report envelope: every value converted to plain
-    JSON values (dataclasses field by field, arrays of more than 64
-    elements as {n, min, max}, non-finite floats as their repr), then
-    ``json.dumps(indent=2, sort_keys=True)``."""
+    JSON values (records by the parameters of their constructor, arrays
+    of more than 64 elements as {n, min, max}, non-finite floats as their
+    repr), then ``json.dumps(indent=2, sort_keys=True)``."""
     return json.dumps(_jsonable(envelope), indent=2, sort_keys=True)
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import random
@@ -302,6 +303,79 @@ class TestEnvelope:
             cli.emit({"x": {1, 2}}, None)
 
 
+class TestRecords:
+    """The report records are plain classes with ``__slots__``: what the
+    envelope writes of them, and the copy of a data set."""
+
+    @staticmethod
+    def _records(value, found):
+        """Every record instance in ``value``, by class."""
+        if type(value).__module__.partition(".")[0] == "cornermass":
+            found.setdefault(type(value), []).append(value)
+            value = [getattr(value, n) for n in
+                     inspect.signature(type(value)).parameters]
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, (list, tuple)):
+            for v in value:
+                TestRecords._records(v, found)
+        return found
+
+    def test_envelope_writes_the_constructor_parameters(self, tmp_path,
+                                                       monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "emit", lambda env, out: seen.append(env))
+        # the isotropic chart holds a minimal sphere
+        runs = sorted(TestEnvelope.CONFIGS.items()) + [
+            ("quasilocal", "[run]\nscenario = isotropic_schwarzschild\n"
+             "[quasilocal]\nr0 = 4.0\nhull_radii = 2.6 3.0 3.5\n")]
+        for command, config in runs:
+            argv = [command, "--deterministic"]
+            if config is not None:
+                argv += ["--config", write(tmp_path, "c.cfg", config)]
+            assert cli.main(argv) in (0, 1), command
+        found = {}
+        for env in seen:
+            self._records(env["reports"], found)
+        assert sorted(c.__name__ for c in found) == [
+            "AdmResult", "CertificateVerdict", "ComparisonReport",
+            "ConvergenceReport", "DecReport", "MassBoundReport",
+            "MinimalSphere", "QuasilocalReport"]
+        for cls, objs in found.items():
+            params = list(inspect.signature(cls).parameters)
+            for obj in objs:
+                keys = json.loads(cli._dump(obj, "\n"))
+                assert sorted(keys) == sorted(params), cls.__name__
+
+    def test_replace_checks_like_the_constructor(self):
+        from cornermass.corner import GluedDataSet
+        from cornermass.geometry import RadialPatch
+        ng = scenario_build("hyperbolic_negschw")
+        inner, outer = ng.patches
+        gap = (inner, RadialPatch(outer.f, outer.a, outer.b,
+                                  outer.r_in + 0.5, outer.r_out))
+        with pytest.raises(ValueError) as made:
+            GluedDataSet(patches=gap, interfaces=ng.interfaces)
+        with pytest.raises(ValueError) as replaced:
+            ng.replace(patches=gap)
+        assert str(replaced.value) == str(made.value)
+        assert "tile" in str(made.value)
+        named = ng.replace(name="renamed")
+        assert (named.name, ng.name) == ("renamed", "hyperbolic_negschw")
+        assert named.patches is ng.patches
+
+    def test_oracle_walks_records_by_their_constructor(self, monkeypatch):
+        # oracles.envelope_json is the byte check of _dump, so it reads
+        # the constructor, not the slots _field_keys reads
+        from oracles import envelope_json
+        from cornermass.numgrid import AxisymGrid
+        monkeypatch.setattr(cli, "_field_keys", None)
+        grid = AxisymGrid.build(np.linspace(1.0, 2.0, 8), 8)
+        assert sorted(json.loads(envelope_json({"g": grid}))["g"]) == [
+            "r", "theta"]
+        assert set(AxisymGrid.__slots__) > {"r", "theta"}
+
+
 class TestCommands:
     def test_constraints_flat(self, tmp_path, capsys):
         path = write(tmp_path, "c.cfg", "[run]\nscenario = flat\n")
@@ -525,10 +599,13 @@ class TestExitCodes:
          "hull_radii = 2.6 3.0 3.5\n", "run.topology_trivial"),
         ("constraints", "[run]\nscenario = flat\ntopology_trivial = 0\n",
          "run.topology_trivial"),
+        # constraints read no asymptote, and refuse a bad one like massbound
+        ("constraints", "[run]\nscenario = hyperbolic_negschw\n"
+         "direction = 7\n", "run.direction"),
     ], ids=["samples_2_negschw", "samples_2_shi_tam", "samples_3_negschw",
             "omega_tan", "r0_tiny", "H_huge", "r0_huge", "sweep_huge",
             "glue_r0_huge", "glue_H_huge", "coefficient_inf", "topology_no",
-            "topology_0"])
+            "topology_0", "constraints_direction_7"])
     def test_config_error(self, tmp_path, capsys, command, text, field):
         path = write(tmp_path, "x.cfg", text)
         with pytest.raises(ConfigError) as exc:
@@ -750,10 +827,11 @@ class TestImportPath:
     # what no command may load: scipy (the solve is separated), csv (one
     # hand-written writer, numgrid.write_csv, emits the csv module's
     # bytes), numpy.polynomial (numgrid builds the Gauss-Legendre rules)
-    # and argparse with the gettext and locale modules of its first
-    # message lookup (the argument line is parsed by hand)
+    # argparse with the gettext and locale modules of its first message
+    # lookup (the argument line is parsed by hand) and dataclasses (the
+    # records are plain slotted classes; neither numpy nor site loads it)
     FORBIDDEN = ("scipy", "csv", "numpy.polynomial", "argparse", "gettext",
-                 "locale")
+                 "locale", "dataclasses")
     # the commands run in turn after the import, with their configs
     COMMANDS = (
         ("quasilocal", "[run]\nscenario = schwarzschild\n[scenario]\n"

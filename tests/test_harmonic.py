@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -474,7 +472,6 @@ class TestSideArrays:
 
     def test_coefficients_differ_only_on_corner_rings(self, side_case):
         import oracles
-        import dataclasses
         from cornermass.harmonic.fields import SideCoefficients, _areal_vals
         data, fld = side_case
         c = fld.coeffs
@@ -482,7 +479,7 @@ class TestSideArrays:
         off = np.ones(fld.grid.n_r, dtype=bool)
         off[c.corner_indices] = False
         s = fld.grid.r
-        for name in (f.name for f in dataclasses.fields(SideCoefficients)):
+        for name in SideCoefficients.__slots__:
             minus, plus = getattr(c, name), getattr(c.side("plus"), name)
             assert c.side("minus") is c
             assert np.all(plus[off] == minus[off])
@@ -647,7 +644,7 @@ class TestBoundaryFormula:
         # reduces to the constant-trace form
         data = scenario_build("schwarzschild", m=1.0)
         # the chart's grid, sampled in the areal chart
-        areal = dataclasses.replace(data, chart=None)
+        areal = data.replace(chart=None)
         grid = build_solver_grid(data, 32, 32, 30.0, r_inner=3.0)
         coeffs = build_coefficients(areal, grid)
         zeros = lambda r, x: np.zeros_like(np.asarray(x, float))
@@ -685,7 +682,7 @@ class TestBoundaryFormula:
     def test_pole_exclusion_flag_on_coarse_grid(self):
         # at M = 8 the two excluded pole rows carry > 1% of the measure
         data = scenario_build("schwarzschild", m=1.0)
-        areal = dataclasses.replace(data, chart=None)
+        areal = data.replace(chart=None)
         grid = build_solver_grid(data, 16, 8, 30.0, r_inner=3.0)
         coeffs = build_coefficients(areal, grid)
         fld = AxisymField.from_function(coeffs, lambda R, X: R * X)
@@ -704,7 +701,7 @@ class TestBoundaryFormula:
                 c * X**k for k, c in enumerate(coef))
 
         data = scenario_build("schwarzschild", m=1.0)
-        areal = dataclasses.replace(data, chart=None)
+        areal = data.replace(chart=None)
         residuals = []
         for M in (32, 64, 128):
             grid = build_solver_grid(data, M, M, 40.0, r_inner=3.0)
@@ -730,7 +727,7 @@ class TestIntegralFormula:
     def test_schwarzschild_annulus_refinement(self):
         data = scenario_build("schwarzschild", m=1.0)
         # the chart's grid, solved in the areal chart from r = 3
-        areal = dataclasses.replace(data, chart=None)
+        areal = data.replace(chart=None)
         residuals = []
         for n in (48, 96):
             grid = build_solver_grid(data, n, n, 40.0, r_inner=3.0)

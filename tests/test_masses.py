@@ -231,9 +231,8 @@ class TestComparison:
         assert ql.W >= 1.0
 
     def test_topology_flag_downgrades(self):
-        import dataclasses
         ds = scenario_build("schwarzschild", m=1.0)
-        ds = dataclasses.replace(ds, topology_trivial=False)
+        ds = ds.replace(topology_trivial=False)
         ql = quasilocal(ds, 10.0)
         rep = comparison_check(ql, ds, [5.0])
         assert not rep.applicable
